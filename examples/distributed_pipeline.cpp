@@ -15,6 +15,10 @@
 //      while it is extracted live, then backfill-replayed through the
 //      scheduler — same sessions, bit-identical ensembles, batch speed.
 //
+// Exits non-zero when one of its checks fails: Part 1's "output
+// scope-well-formed" or Part 4's "bit-identical to live". (The "clean
+// close: NO" lines of Parts 2 and 3 are the injected faults, not failures.)
+//
 //   ./distributed_pipeline
 #include <algorithm>
 #include <chrono>
@@ -29,7 +33,6 @@
 #include <vector>
 
 #include "core/birdsong.hpp"
-#include "core/ops_acoustic.hpp"
 #include "core/session_scheduler.hpp"
 #include "core/stream_session.hpp"
 #include "river/manager.hpp"
@@ -53,7 +56,7 @@ void feed_clip(river::RecordChannel& ch, synth::SensorStation& station,
                synth::SpeciesId species) {
   const auto clip = station.record_clip({species});
   river::AttrMap attrs;
-  attrs.emplace(core::kAttrSpecies, synth::species(species).code);
+  attrs.emplace(river::kAttrSpecies, synth::species(species).code);
   for (auto& rec : core::clip_to_records(clip.clip, clip.clip_id,
                                          kParams.record_size, attrs)) {
     ch.send(std::move(rec));
@@ -62,6 +65,7 @@ void feed_clip(river::RecordChannel& ch, synth::SensorStation& station,
 }  // namespace
 
 int main() {
+  bool checks_pass = true;
   std::printf("Part 1: extraction segment relocated between hosts mid-stream\n");
   std::printf("--------------------------------------------------------------\n");
   {
@@ -111,8 +115,10 @@ int main() {
         stats.at("birdsong").records_in,
         manager.host("field-station").records_processed(),
         manager.host("observatory").records_processed());
+    const bool well_formed = !tracker.any_open();
+    checks_pass = checks_pass && well_formed;
     std::printf("patterns harvested: %zu; output scope-well-formed: %s\n\n",
-                patterns.size(), tracker.any_open() ? "NO" : "yes");
+                patterns.size(), well_formed ? "yes" : "NO");
   }
 
   std::printf("Part 2: live TCP ingest into a StreamSession; upstream dies mid-clip\n");
@@ -339,6 +345,7 @@ int main() {
               live_sink.ensembles[i].start_sample &&
           replay_sink->ensembles[i].samples == live_sink.ensembles[i].samples;
     }
+    checks_pass = checks_pass && identical;
     const double replayed = static_cast<double>(
         scheduler.stats().stations[0].samples_consumed) / kParams.sample_rate;
     std::printf("backfill replay: %zu ensemble(s) from %.1f s of archive in "
@@ -351,5 +358,5 @@ int main() {
         "same extraction sessions with the same results.\n");
     std::filesystem::remove_all(dir);
   }
-  return 0;
+  return checks_pass ? 0 : 1;
 }

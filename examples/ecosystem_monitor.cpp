@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/birdsong.hpp"
 #include "core/session_scheduler.hpp"
 #include "core/stream_session.hpp"
 #include "eval/protocol.hpp"

@@ -41,6 +41,13 @@ tier-1 ctest `repo_lint`, so `ctest -L tier1` fails on a violation. Checks:
                             `static_cast<std::size_t>` casts are banned
                             there (lines carrying `constexpr` or a
                             `checked::` call are the sanctioned spellings).
+  9. operator-containment   within src/, only the river operator framework
+                            (river/{operator,pipeline,segment,manager,
+                            stream_io}) and the Figure 5 assembly
+                            (core/birdsong) include river/operator.hpp or
+                            river/pipeline.hpp: every production path runs
+                            on sessions, and the operator graph stays two
+                            thin operators over them, not a second engine.
 """
 
 from __future__ import annotations
@@ -280,6 +287,29 @@ class Linter:
                                   "route it through common/checked.hpp "
                                   "(checked::add/mul/narrow)")
 
+    # -- 9. the operator framework stays in its own modules ------------------
+
+    OPERATOR_MODULES = {
+        "river/operator", "river/pipeline", "river/segment", "river/manager",
+        "river/stream_io", "core/birdsong",
+    }
+
+    def check_operator_containment(self) -> None:
+        include = re.compile(
+            r'^\s*#\s*include\s*"(river/(?:operator|pipeline)\.hpp)"')
+        src = self.root / "src"
+        for path in cxx_files(self.root, dirs=("src",)):
+            if path.relative_to(src).with_suffix("").as_posix() in \
+                    self.OPERATOR_MODULES:
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                m = include.match(line)
+                if m:
+                    self.fail(path, lineno, "operator-containment",
+                              f"{m.group(1)} included outside the operator "
+                              "modules: run on StreamSession/FeatureExtractor, "
+                              "or add the stage to core/birdsong's operators")
+
     def run(self) -> int:
         self.check_cmake_targets()
         self.check_rng()
@@ -289,6 +319,7 @@ class Linter:
         self.check_tsan_supp()
         self.check_fuzz_registration()
         self.check_size_arithmetic()
+        self.check_operator_containment()
         for err in self.errors:
             print(err, file=sys.stderr)
         if self.errors:

@@ -3,8 +3,8 @@
 // EnsembleExtractor is a thin wrapper over core::StreamSession: extract()
 // opens a session with full-history signal taps, pushes the whole clip, and
 // finishes — so batch and chunked execution share one code path and are
-// bit-identical by construction. It is semantically identical to running
-// the river operators (verified by integration tests) and is convenient for
+// bit-identical by construction. The river ExtractOp runs the same session
+// (tests/test_core_ops.cpp pins them equal), and this facade is convenient for
 // analysis code, tests, and the figure benches; long-running ingest should
 // use StreamSession directly (bounded memory, ensembles as they close).
 #pragma once

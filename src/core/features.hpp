@@ -1,8 +1,9 @@
 // Batch feature extraction facade: ensemble samples -> patterns.
 //
-// Mirrors the spectral pipeline segment (reslice, welchwindow, float2cplx,
-// dft, cabs, cutout, paa, rec2vect) as direct DSP calls. Equivalence with
-// the river operators is covered by integration tests.
+// Implements the paper's spectral stages (reslice, welchwindow, float2cplx,
+// dft, cabs, cutout, paa, rec2vect) as direct DSP calls. It is the only
+// implementation: the river operator FeaturizeOp (core/birdsong.hpp) runs
+// one FeatureExtractor per pipeline.
 #pragma once
 
 #include <memory>

@@ -1,7 +1,7 @@
 // The shared spectral execution engine.
 //
-// Every spectral consumer in the codebase — the river operators
-// (welchwindow/dft), the batch FeatureExtractor, the extractor facades, and
+// Every spectral consumer in the codebase — FeatureExtractor (behind the
+// sessions, the extractor facades, and the river FeaturizeOp) and
 // dsp::stft via the same underlying plan cache — used to build its own
 // windows and run unplanned FFTs with per-call scratch. SpectralEngine
 // centralizes that: it owns the transform geometry (window kind + DFT size)

@@ -3,10 +3,10 @@
 // detail::StreamCutter runs the trigger-run -> gap-merge -> length-floor
 // state machine over C synchronized channels, buffering only the open
 // ensemble and the merge-gap lookahead. It is the single implementation of
-// the paper's cutter semantics: StreamSession (C = 1), MultiStreamSession,
-// and the river operator CutterOp all delegate to it, so the operator path
-// and the sessions cannot diverge (tests/test_core_ops.cpp proves them
-// bit-identical under every chunking).
+// the paper's cutter semantics: StreamSession (C = 1) and MultiStreamSession
+// delegate to it, and the river operator ExtractOp runs a StreamSession, so
+// the operator path and the sessions cannot diverge (tests/test_core_ops.cpp
+// proves them bit-identical under every recordization).
 #pragma once
 
 #include <cstddef>

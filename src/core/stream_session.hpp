@@ -23,9 +23,9 @@
 
 #include "core/features.hpp"
 #include "core/multistream.hpp"
-#include "core/ops_anomaly.hpp"
 #include "core/params.hpp"
 #include "core/stream_cutter.hpp"
+#include "core/trigger.hpp"
 #include "river/sample_io.hpp"
 #include "ts/anomaly.hpp"
 

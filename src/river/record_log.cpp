@@ -155,15 +155,4 @@ bool RecordLogReader::next(Record& out) {
   }
 }
 
-std::size_t replay_log(const std::filesystem::path& path, Emitter& sink) {
-  RecordLogReader reader(path);
-  Record rec;
-  std::size_t n = 0;
-  while (reader.next(rec)) {
-    sink.emit(std::move(rec));
-    ++n;
-  }
-  return n;
-}
-
 }  // namespace dynriver::river

@@ -3,8 +3,7 @@
 // The paper's `readout` operator "writes the clips to record for storage";
 // during analysis "a data feed is invoked to read clips from storage".
 // RecordLogWriter/RecordLogReader implement that storage as a flat file of
-// wire-encoded frames, and ReadoutOp wraps the writer as a pipeline operator
-// that forwards records downstream while persisting them.
+// wire-encoded frames.
 //
 // Durability contract:
 //   - write() buffers; sync() makes everything written so far durable
@@ -23,7 +22,7 @@
 #include <fstream>
 #include <string>
 
-#include "river/operator.hpp"
+#include "river/record.hpp"
 #include "river/wire.hpp"
 
 namespace dynriver::river {
@@ -102,31 +101,5 @@ class RecordLogReader {
   bool eof_ = false;
   bool torn_ = false;
 };
-
-/// Pipeline operator: persist the stream to a log while forwarding it.
-class ReadoutOp final : public Operator {
- public:
-  explicit ReadoutOp(const std::filesystem::path& path) : writer_(path) {}
-
-  void process(Record rec, Emitter& out) override {
-    writer_.write(rec);
-    out.emit(std::move(rec));
-  }
-  void flush(Emitter& out) override {
-    (void)out;
-    writer_.close();
-  }
-  [[nodiscard]] std::string_view name() const override { return "readout"; }
-
-  [[nodiscard]] std::size_t records_written() const {
-    return writer_.records_written();
-  }
-
- private:
-  RecordLogWriter writer_;
-};
-
-/// Replay a whole log file through an emitter (the paper's "data feed").
-std::size_t replay_log(const std::filesystem::path& path, Emitter& sink);
 
 }  // namespace dynriver::river

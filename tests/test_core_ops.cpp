@@ -1,19 +1,17 @@
-// River operator implementations of the acoustic pipeline: scope handling,
-// wav2rec/rec2wav, spectral stages, and end-to-end equivalence between the
-// operator pipeline and the batch facades.
+// The paper's Figure 5 as river operators: clip recordization, the trigger
+// state machine, ExtractOp/FeaturizeOp scope handling, and exact
+// equivalence between the operator pipeline and StreamSession +
+// FeatureExtractor under every recordization (including upstream death).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numbers>
 #include <span>
 
 #include "core/birdsong.hpp"
-#include "core/stream_session.hpp"
 #include "core/extractor.hpp"
 #include "core/features.hpp"
-#include "core/ops_acoustic.hpp"
-#include "core/ops_anomaly.hpp"
-#include "core/ops_spectral.hpp"
+#include "core/stream_session.hpp"
+#include "core/trigger.hpp"
 #include "river/scope.hpp"
 #include "synth/station.hpp"
 #include "test_support.hpp"
@@ -45,8 +43,8 @@ TEST(ClipToRecords, ScopedStreamShape) {
   // open + 3 data (900+900+200) + close
   ASSERT_EQ(records.size(), 5u);
   EXPECT_EQ(records.front().type, RecordType::kOpenScope);
-  EXPECT_EQ(records.front().attr_int(core::kAttrClipId, -1), 7);
-  EXPECT_DOUBLE_EQ(records.front().attr_double(core::kAttrSampleRate, 0), 21600.0);
+  EXPECT_EQ(records.front().attr_int(river::kAttrClipId, -1), 7);
+  EXPECT_DOUBLE_EQ(records.front().attr_double(river::kAttrSampleRate, 0), 21600.0);
   EXPECT_EQ(records[1].floats().size(), 900u);
   EXPECT_EQ(records[3].floats().size(), 200u);
   EXPECT_EQ(records.back().type, RecordType::kCloseScope);
@@ -54,82 +52,6 @@ TEST(ClipToRecords, ScopedStreamShape) {
   river::ScopeTracker tracker;
   for (const auto& rec : records) tracker.observe(rec);
   EXPECT_FALSE(tracker.any_open());
-}
-
-TEST(Wav2Rec, DecodesWavBytesIntoClipScope) {
-  dsp::WavClip clip;
-  clip.sample_rate = 21600;
-  clip.samples.assign(1800, 0.5F);
-
-  auto wav_rec = Record::data_bytes(river::kSubtypeRaw, dsp::encode_wav(clip));
-  wav_rec.set_attr(core::kAttrSpecies, std::string("NOCA"));
-
-  river::Pipeline p;
-  p.emplace<core::Wav2RecOp>(900);
-  const auto out = river::run_pipeline(p, {std::move(wav_rec)});
-  ASSERT_EQ(out.size(), 4u);  // open + 2 data + close
-  EXPECT_EQ(out.front().attr_string(core::kAttrSpecies, ""), "NOCA");
-}
-
-TEST(Rec2Wav, InverseOfClipToRecords) {
-  dsp::WavClip clip;
-  clip.sample_rate = 21600;
-  clip.samples.resize(4321);
-  for (std::size_t i = 0; i < clip.samples.size(); ++i) {
-    clip.samples[i] = static_cast<float>(std::sin(0.01 * static_cast<double>(i)));
-  }
-
-  river::Pipeline p;
-  p.emplace<core::Rec2WavOp>(river::kScopeClip);
-  const auto out =
-      river::run_pipeline(p, core::clip_to_records(clip, 1, 900));
-  ASSERT_EQ(out.size(), 1u);
-  const auto decoded = dsp::decode_wav(out[0].bytes());
-  ASSERT_EQ(decoded.samples.size(), clip.samples.size());
-  for (std::size_t i = 0; i < decoded.samples.size(); i += 97) {
-    EXPECT_NEAR(decoded.samples[i], clip.samples[i], 1.0F / 16000.0F);
-  }
-}
-
-TEST(SaxAnomalyOp, EmitsAlignedScoreRecords) {
-  river::Pipeline p;
-  p.emplace<core::SaxAnomalyOp>(test_params().anomaly);
-
-  dsp::WavClip clip;
-  clip.sample_rate = 21600;
-  clip.samples.assign(2700, 0.1F);
-  const auto out = river::run_pipeline(p, core::clip_to_records(clip, 0, 900));
-  // open, (audio, score) x3, close
-  ASSERT_EQ(out.size(), 8u);
-  for (std::size_t i = 1; i + 1 < out.size(); i += 2) {
-    EXPECT_EQ(out[i].subtype, river::kSubtypeAudio);
-    EXPECT_EQ(out[i + 1].subtype, river::kSubtypeAnomalyScore);
-    EXPECT_EQ(out[i].floats().size(), out[i + 1].floats().size());
-  }
-}
-
-TEST(TriggerOp, ConvertsScoresToBinarySignal) {
-  river::Pipeline p;
-  p.emplace<core::TriggerOp>(5.0, 100);
-
-  std::vector<Record> input;
-  input.push_back(Record::open_scope(river::kScopeClip, 0));
-  // Flat scores (baseline), then a jump.
-  river::FloatVec flat(500, 0.1F);
-  for (std::size_t i = 0; i < 200; ++i) {
-    flat[i] = 0.1F + 0.0001F * static_cast<float>(i % 7);
-  }
-  input.push_back(Record::data(river::kSubtypeAnomalyScore, flat));
-  river::FloatVec jump(100, 5.0F);
-  input.push_back(Record::data(river::kSubtypeAnomalyScore, jump));
-  input.push_back(Record::close_scope(river::kScopeClip, 0));
-
-  const auto out = river::run_pipeline(p, std::move(input));
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[1].subtype, river::kSubtypeTrigger);
-  EXPECT_EQ(out[2].subtype, river::kSubtypeTrigger);
-  // All of the jump must be triggered.
-  for (const float v : out[2].floats()) EXPECT_FLOAT_EQ(v, 1.0F);
 }
 
 TEST(TriggerState, LeadingZerosIgnored) {
@@ -151,113 +73,6 @@ TEST(TriggerState, HoldBridgesShortDips) {
   EXPECT_TRUE(state.push(0.1));
   // Hold exhausted: releases.
   EXPECT_FALSE(state.push(0.1));
-}
-
-TEST(ResliceOp, InsertsOverlapRecords) {
-  river::Pipeline p;
-  p.emplace<core::ResliceOp>();
-
-  river::FloatVec a(4), b(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    a[i] = static_cast<float>(i);          // 0 1 2 3
-    b[i] = static_cast<float>(10 + i);     // 10 11 12 13
-  }
-  std::vector<Record> input;
-  input.push_back(Record::open_scope(river::kScopeEnsemble, 0));
-  input.push_back(Record::data(river::kSubtypeAudio, a));
-  input.push_back(Record::data(river::kSubtypeAudio, b));
-  input.push_back(Record::close_scope(river::kScopeEnsemble, 0));
-
-  const auto out = river::run_pipeline(p, std::move(input));
-  // open, a, overlap, b, close
-  ASSERT_EQ(out.size(), 5u);
-  const auto overlap = out[2].floats();
-  ASSERT_EQ(overlap.size(), 4u);
-  EXPECT_FLOAT_EQ(overlap[0], 2.0F);
-  EXPECT_FLOAT_EQ(overlap[1], 3.0F);
-  EXPECT_FLOAT_EQ(overlap[2], 10.0F);
-  EXPECT_FLOAT_EQ(overlap[3], 11.0F);
-}
-
-TEST(ResliceOp, MismatchedSizesSkipOverlap) {
-  river::Pipeline p;
-  p.emplace<core::ResliceOp>();
-  std::vector<Record> input;
-  input.push_back(Record::data(river::kSubtypeAudio, {1.0F, 2.0F}));
-  input.push_back(Record::data(river::kSubtypeAudio, {3.0F}));  // partial tail
-  const auto out = river::run_pipeline(p, std::move(input));
-  EXPECT_EQ(out.size(), 2u);  // no overlap inserted
-}
-
-TEST(SpectralChain, ProducesBandLimitedSpectra) {
-  auto params = test_params();
-  river::Pipeline p;
-  p.emplace<core::WelchWindowOp>(params.window);
-  p.emplace<core::Float2CplxOp>();
-  p.emplace<core::DftOp>(params.dft_size);
-  p.emplace<core::CAbsOp>();
-  p.emplace<core::CutoutOp>(params);
-
-  // 3 kHz tone record.
-  river::FloatVec tone(900);
-  for (std::size_t i = 0; i < tone.size(); ++i) {
-    tone[i] = static_cast<float>(std::sin(
-        2.0 * std::numbers::pi * 3000.0 * static_cast<double>(i) / params.sample_rate));
-  }
-  const auto out =
-      river::run_pipeline(p, {Record::data(river::kSubtypeAudio, tone)});
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].subtype, river::kSubtypeSpectrum);
-  const auto spectrum = out[0].floats();
-  ASSERT_EQ(spectrum.size(), 350u);  // paper band
-  // Peak at (3000 - 1200) / 24 = bin 75.
-  std::size_t peak = 0;
-  for (std::size_t i = 1; i < spectrum.size(); ++i) {
-    if (spectrum[i] > spectrum[peak]) peak = i;
-  }
-  EXPECT_EQ(peak, 75u);
-}
-
-TEST(PaaOpAndRec2Vect, MergeAndStride) {
-  river::Pipeline p;
-  p.emplace<core::PaaOp>(5);
-  p.emplace<core::Rec2VectOp>(2, 2);
-
-  std::vector<Record> input;
-  input.push_back(Record::open_scope(river::kScopeEnsemble, 0));
-  for (int r = 0; r < 4; ++r) {
-    river::FloatVec spec(10, static_cast<float>(r + 1));
-    input.push_back(Record::data(river::kSubtypeSpectrum, std::move(spec)));
-  }
-  input.push_back(Record::close_scope(river::kScopeEnsemble, 0));
-
-  const auto out = river::run_pipeline(p, std::move(input));
-  // open, pattern(r0+r1), pattern(r2+r3), close
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[1].subtype, river::kSubtypePattern);
-  ASSERT_EQ(out[1].floats().size(), 4u);  // 2 records x (10/5) features
-  EXPECT_FLOAT_EQ(out[1].floats()[0], 1.0F);
-  EXPECT_FLOAT_EQ(out[1].floats()[2], 2.0F);
-  EXPECT_FLOAT_EQ(out[2].floats()[0], 3.0F);
-}
-
-TEST(Rec2VectOp, ResetsAtScopeBoundaries) {
-  river::Pipeline p;
-  p.emplace<core::Rec2VectOp>(2, 1);
-  std::vector<Record> input;
-  input.push_back(Record::open_scope(river::kScopeEnsemble, 0));
-  input.push_back(Record::data(river::kSubtypeSpectrum, {1.0F}));
-  input.push_back(Record::close_scope(river::kScopeEnsemble, 0));
-  input.push_back(Record::open_scope(river::kScopeEnsemble, 0));
-  input.push_back(Record::data(river::kSubtypeSpectrum, {2.0F}));
-  input.push_back(Record::close_scope(river::kScopeEnsemble, 0));
-  const auto out = river::run_pipeline(p, std::move(input));
-  // No pattern may merge record 1 with record 2 across the boundary.
-  for (const auto& rec : out) {
-    EXPECT_NE(rec.subtype == river::kSubtypePattern && rec.is_float() &&
-                  rec.floats().size() == 2,
-              true);
-  }
 }
 
 TEST(FullPipeline, OutputStreamIsScopeWellFormed) {
@@ -286,7 +101,7 @@ TEST(FullPipeline, OutputStreamIsScopeWellFormed) {
 
 TEST(FullPipeline, MatchesBatchFacades) {
   // The operator pipeline and the EnsembleExtractor+FeatureExtractor facades
-  // must produce identical patterns for the same clip.
+  // must produce identical patterns for the same clip, bit for bit.
   const auto clip = record_test_clip(78);
   const auto params = test_params();
 
@@ -308,11 +123,8 @@ TEST(FullPipeline, MatchesBatchFacades) {
 
   ASSERT_EQ(pipeline_patterns.size(), facade_patterns.size());
   for (std::size_t i = 0; i < facade_patterns.size(); ++i) {
-    ASSERT_EQ(pipeline_patterns[i].features.size(), facade_patterns[i].size());
-    for (std::size_t f = 0; f < facade_patterns[i].size(); ++f) {
-      EXPECT_NEAR(pipeline_patterns[i].features[f], facade_patterns[i][f], 1e-3F)
-          << "pattern " << i << " feature " << f;
-    }
+    EXPECT_EQ(pipeline_patterns[i].features, facade_patterns[i])
+        << "pattern " << i;
   }
 }
 
@@ -320,7 +132,7 @@ TEST(FullPipeline, EnsembleAttrsCarryProvenance) {
   const auto clip = record_test_clip(79);
   const auto params = test_params();
   river::AttrMap extra;
-  extra.emplace(core::kAttrSpecies, std::string("NOCA"));
+  extra.emplace(river::kAttrSpecies, std::string("NOCA"));
 
   const auto patterns = core::process_clip(clip.clip, 42, params, extra);
   ASSERT_FALSE(patterns.empty());
@@ -334,64 +146,97 @@ TEST(FullPipeline, EnsembleAttrsCarryProvenance) {
 }
 
 // ---------------------------------------------------------------------------
-// One true cutter automaton: operator pipeline == StreamSession, exactly
+// One execution model: operator pipeline == StreamSession + FeatureExtractor
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Reconstruct the ensembles from a cutter-stage record stream.
-std::vector<river::Ensemble> ensembles_from_records(
-    const std::vector<Record>& records) {
-  std::vector<river::Ensemble> out;
+/// One ensemble scope of a pipeline output stream: its start, its audio
+/// (extraction output), its patterns (full-pipeline output), and its close.
+struct ScopedEnsemble {
+  std::size_t start_sample = 0;
+  std::vector<float> samples;
+  std::vector<std::vector<float>> patterns;
+  RecordType close = RecordType::kCloseScope;
+};
+
+std::vector<ScopedEnsemble> parse_ensembles(const std::vector<Record>& records) {
+  std::vector<ScopedEnsemble> out;
   bool in_ensemble = false;
-  river::Ensemble current;
   for (const auto& rec : records) {
-    if (rec.type == RecordType::kOpenScope &&
-        rec.scope_type == river::kScopeEnsemble) {
+    if (rec.scope_type == river::kScopeEnsemble &&
+        rec.type == RecordType::kOpenScope) {
       in_ensemble = true;
-      current.start_sample = static_cast<std::size_t>(
-          rec.attr_int(core::kAttrStartSample, -1));
-      current.samples.clear();
-    } else if ((rec.type == RecordType::kCloseScope ||
-                rec.type == RecordType::kBadCloseScope) &&
-               rec.scope_type == river::kScopeEnsemble) {
+      out.emplace_back();
+      out.back().start_sample = static_cast<std::size_t>(
+          rec.attr_int(river::kAttrStartSample, -1));
+    } else if (rec.scope_type == river::kScopeEnsemble &&
+               river::is_scope_close(rec.type)) {
       in_ensemble = false;
-      out.push_back(std::move(current));
-      current = {};
-    } else if (in_ensemble && rec.type == RecordType::kData &&
-               rec.subtype == river::kSubtypeAudio && rec.is_float()) {
+      out.back().close = rec.type;
+    } else if (in_ensemble && rec.type == RecordType::kData && rec.is_float()) {
       const auto f = rec.floats();
-      current.samples.insert(current.samples.end(), f.begin(), f.end());
+      if (rec.subtype == river::kSubtypeAudio) {
+        out.back().samples.insert(out.back().samples.end(), f.begin(), f.end());
+      } else if (rec.subtype == river::kSubtypePattern) {
+        out.back().patterns.emplace_back(f.begin(), f.end());
+      }
     }
   }
   return out;
 }
 
-/// Run saxanomaly -> trigger -> cutter over `xs` recordized at
-/// `record_size`, and compare the resulting ensembles bit-identically
-/// against a StreamSession fed the same signal.
-void expect_operator_matches_session(const core::PipelineParams& params,
-                                     std::span<const float> xs,
-                                     std::size_t record_size) {
+/// Run `input` through the extraction pipeline and the full pipeline, and
+/// compare both exactly against `want` (ensembles from a StreamSession fed
+/// the same samples): ensembles sample for sample, patterns bit for bit
+/// against FeatureExtractor, and each ensemble's close kind against
+/// `closes`. Returns the total pattern count.
+std::size_t expect_pipeline_matches(const core::PipelineParams& params,
+                                    const std::vector<Record>& input,
+                                    const std::vector<river::Ensemble>& want,
+                                    const std::vector<RecordType>& closes,
+                                    std::size_t record_size) {
+  auto extraction = core::make_extraction_pipeline(params);
+  auto full = core::make_full_pipeline(params);
+  const auto cut = parse_ensembles(river::run_pipeline(extraction, input));
+  const auto featurized = parse_ensembles(river::run_pipeline(full, input));
+  const core::FeatureExtractor features(params);
+
+  EXPECT_EQ(cut.size(), want.size()) << "record_size=" << record_size;
+  EXPECT_EQ(featurized.size(), want.size()) << "record_size=" << record_size;
+  if (cut.size() != want.size() || featurized.size() != want.size()) return 0;
+  std::size_t patterns = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(testing::Message()
+                 << "record_size=" << record_size << " ensemble=" << i);
+    EXPECT_EQ(cut[i].start_sample, want[i].start_sample);
+    EXPECT_EQ(cut[i].samples, want[i].samples);
+    EXPECT_EQ(cut[i].close, closes[i]);
+    EXPECT_EQ(featurized[i].start_sample, want[i].start_sample);
+    EXPECT_EQ(featurized[i].patterns, features.patterns(want[i].samples));
+    EXPECT_EQ(featurized[i].close, closes[i]);
+    patterns += featurized[i].patterns.size();
+  }
+  return patterns;
+}
+
+/// Recordize `xs` as one clip at `record_size` and compare the pipelines
+/// against a StreamSession + FeatureExtractor fed the same signal. Returns
+/// the total pattern count.
+std::size_t expect_operator_matches_session(const core::PipelineParams& params,
+                                            std::span<const float> xs,
+                                            std::size_t record_size) {
   dsp::WavClip clip;
   clip.sample_rate = static_cast<std::uint32_t>(params.sample_rate);
   clip.samples.assign(xs.begin(), xs.end());
-  auto pipeline = core::make_extraction_pipeline(params);
-  const auto records = river::run_pipeline(
-      pipeline, core::clip_to_records(clip, 0, record_size));
-  const auto got = ensembles_from_records(records);
 
   core::StreamSession session(params);
   session.push(xs);
   const auto want = session.finish();
-
-  ASSERT_EQ(got.size(), want.size()) << "record_size=" << record_size;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].start_sample, want[i].start_sample)
-        << "record_size=" << record_size << " ensemble=" << i;
-    ASSERT_EQ(got[i].samples, want[i].samples)
-        << "record_size=" << record_size << " ensemble=" << i;
-  }
+  return expect_pipeline_matches(
+      params, core::clip_to_records(clip, 0, record_size), want,
+      std::vector<RecordType>(want.size(), RecordType::kCloseScope),
+      record_size);
 }
 
 core::PipelineParams small_cutter_params() {
@@ -407,28 +252,28 @@ core::PipelineParams small_cutter_params() {
 
 }  // namespace
 
-TEST(CutterOp, BitIdenticalToStreamSessionOnStationClips) {
-  // CutterOp delegates to detail::StreamCutter — the same automaton behind
-  // the sessions — so the operator path must agree with StreamSession
-  // sample-for-sample on real field clips, for every recordization.
+TEST(ExtractOp, BitIdenticalToStreamSessionOnStationClips) {
+  // ExtractOp runs a StreamSession and FeaturizeOp a FeatureExtractor, so
+  // the operator path must agree with them exactly on real field clips,
+  // ensembles and patterns alike, for every recordization.
   const auto params = test_params();
   for (const std::uint64_t seed : {11ULL, 29ULL}) {
     const auto clip = dynriver::testsupport::record_station_clip(
         seed, {synth::SpeciesId::kNOCA, synth::SpeciesId::kRWBL});
-    core::StreamSession probe(params);
-    probe.push(clip.clip.samples);
-    ASSERT_FALSE(probe.finish().empty()) << "seed=" << seed;
     for (const std::size_t record_size : {std::size_t{256}, std::size_t{900},
                                           std::size_t{4096}}) {
-      expect_operator_matches_session(params, clip.clip.samples, record_size);
+      EXPECT_GT(expect_operator_matches_session(params, clip.clip.samples,
+                                                record_size),
+                0u)
+          << "seed=" << seed;
     }
   }
 }
 
-TEST(CutterOp, BitIdenticalToStreamSessionUnderEveryRecordization) {
+TEST(ExtractOp, BitIdenticalToStreamSessionUnderEveryRecordization) {
   // Down-scaled parameters + synthetic events: sweep record sizes down to
   // single-sample records, where every pending/merge/floor transition is
-  // crossed one FIFO element at a time.
+  // crossed one record at a time.
   const auto params = small_cutter_params();
   for (const unsigned seed : {5U, 13U}) {
     const auto xs = dynriver::testsupport::noise_with_bursts(
@@ -436,10 +281,116 @@ TEST(CutterOp, BitIdenticalToStreamSessionUnderEveryRecordization) {
     for (const std::size_t record_size :
          {std::size_t{1}, std::size_t{7}, std::size_t{250}, std::size_t{900},
           std::size_t{30000}}) {
-      expect_operator_matches_session(params, xs, record_size);
+      EXPECT_GT(expect_operator_matches_session(params, xs, record_size), 0u)
+          << "seed=" << seed;
     }
   }
 }
+
+TEST(ExtractOp, RecordsOutsideAClipPassThrough) {
+  const auto params = test_params();
+  river::Pipeline pipeline = core::make_extraction_pipeline(params);
+  const std::vector<Record> input = {
+      Record::data(river::kSubtypeAudio, {1.0F, 2.0F}),
+      Record::open_scope(river::kScopeStream, 0),
+      Record::data(river::kSubtypeSpectrum, {3.0F}),
+      Record::close_scope(river::kScopeStream, 0)};
+  EXPECT_EQ(river::run_pipeline(pipeline, input), input);
+}
+
+TEST(FeaturizeOp, PatternsNeverStraddleScopes) {
+  // 1 200 samples fill no pattern (3 resliced records need 1 800); two
+  // such scopes back to back must not be merged into one, while the same
+  // 2 400 samples split across records inside ONE scope are.
+  const auto params = test_params();
+  const core::FeatureExtractor features(params);
+  std::vector<float> xs(2400);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = static_cast<float>(std::sin(0.3 * static_cast<double>(i)));
+  }
+  const river::FloatVec first(xs.begin(), xs.begin() + 1200);
+  const river::FloatVec second(xs.begin() + 1200, xs.end());
+  const auto data = [](const river::FloatVec& v) {
+    Record rec = Record::data(river::kSubtypeAudio, v);
+    rec.scope_depth = 1;
+    return rec;
+  };
+
+  river::Pipeline split = core::make_spectral_pipeline(params);
+  const auto apart = parse_ensembles(river::run_pipeline(
+      split, {Record::open_scope(river::kScopeEnsemble, 0), data(first),
+              Record::close_scope(river::kScopeEnsemble, 0),
+              Record::open_scope(river::kScopeEnsemble, 0), data(second),
+              Record::bad_close_scope(river::kScopeEnsemble, 0)}));
+  ASSERT_EQ(apart.size(), 2u);
+  EXPECT_TRUE(apart[0].patterns.empty());
+  EXPECT_TRUE(apart[1].patterns.empty());
+
+  river::Pipeline joined = core::make_spectral_pipeline(params);
+  const auto out = river::run_pipeline(
+      joined, {Record::open_scope(river::kScopeEnsemble, 0), data(first),
+               data(second), Record::bad_close_scope(river::kScopeEnsemble, 0)});
+  const auto want = features.patterns(xs);
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(out.size(), want.size() + 2);  // open, patterns, then the close
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(out[i + 1].subtype, river::kSubtypePattern);
+    EXPECT_EQ(out[i + 1].attr_int("pattern_index", -1),
+              static_cast<std::int64_t>(i));
+    EXPECT_EQ(std::vector<float>(out[i + 1].floats().begin(),
+                                 out[i + 1].floats().end()),
+              want[i]);
+  }
+  EXPECT_EQ(out.back().type, RecordType::kBadCloseScope);
+}
+
+// An upstream that dies mid-clip: the operator graph must close the tail
+// ensemble as bad, keep every earlier ensemble good, still featurize the
+// tail, and agree exactly with StreamSession::finish() on the samples that
+// arrived — whether the stream just ends (flush) or a segment driver
+// injects the clip's BadCloseScope first.
+class UpstreamDeath : public testing::TestWithParam<bool> {};
+
+TEST_P(UpstreamDeath, BadClosedTailMatchesSessionFinish) {
+  const bool explicit_bad_close = GetParam();
+  const auto params = test_params();
+  // Seed 2 cuts the clip inside its third ensemble, after two decided ones.
+  const auto clip = dynriver::testsupport::record_station_clip(
+      2, {synth::SpeciesId::kNOCA, synth::SpeciesId::kTUTI,
+          synth::SpeciesId::kRWBL});
+  auto records = core::clip_to_records(clip.clip, 0, params.record_size);
+  records.resize(records.size() / 2);  // the open scope + the first audio
+  std::vector<float> arrived;
+  for (const auto& rec : records) {
+    if (rec.type == RecordType::kData) {
+      arrived.insert(arrived.end(), rec.floats().begin(), rec.floats().end());
+    }
+  }
+  if (explicit_bad_close) {
+    records.push_back(Record::bad_close_scope(river::kScopeClip, 0));
+  }
+
+  core::StreamSession session(params);
+  session.push(arrived);
+  auto want = session.drain();
+  const auto tail = session.finish();
+  ASSERT_FALSE(want.empty()) << "no ensemble decided before the fault";
+  ASSERT_EQ(tail.size(), 1u) << "no ensemble open at the fault";
+  std::vector<RecordType> closes(want.size(), RecordType::kCloseScope);
+  want.push_back(tail.front());
+  closes.push_back(RecordType::kBadCloseScope);
+
+  // Exact pattern equality below then proves the bad-closed tail carries
+  // its patterns.
+  ASSERT_FALSE(core::FeatureExtractor(params).patterns(tail.front().samples).empty());
+  expect_pipeline_matches(params, records, want, closes, params.record_size);
+}
+
+INSTANTIATE_TEST_SUITE_P(FullPipeline, UpstreamDeath, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& param) {
+                           return param.param ? "ExplicitBadClose"
+                                             : "StreamEndsMidClip";
+                         });
 
 TEST(PipelineDiagram, ListsFigure5Operators) {
   const auto diagram = core::pipeline_diagram(test_params());

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "core/birdsong.hpp"
-#include "core/ops_acoustic.hpp"
 #include "eval/protocol.hpp"
 #include "meso/classifier.hpp"
 #include "river/manager.hpp"
@@ -31,7 +30,7 @@ core::PipelineParams params() { return core::PipelineParams{}; }
 void feed_clip_records(river::RecordChannel& ch, const synth::ClipRecording& rec,
                        const std::string& species_code) {
   river::AttrMap attrs;
-  attrs.emplace(core::kAttrSpecies, species_code);
+  attrs.emplace(river::kAttrSpecies, species_code);
   for (auto& r :
        core::clip_to_records(rec.clip, rec.clip_id, params().record_size, attrs)) {
     ch.send(std::move(r));
