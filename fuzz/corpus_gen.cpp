@@ -19,7 +19,6 @@
 #include "dsp/wav.hpp"
 #include "fuzz_support.hpp"
 #include "river/bitpack.hpp"
-#include "river/record_log.hpp"
 #include "river/segment_store.hpp"
 #include "river/wire.hpp"
 #include "segment_archive.hpp"
@@ -139,24 +138,6 @@ int main(int argc, char** argv) {
   }
 
   fz::ScratchDir scratch;
-
-  // record_log_scan: a healthy log, and the same log with a torn tail.
-  {
-    const auto log_path = scratch.path() / "seed.log";
-    {
-      rv::RecordLogWriter writer(log_path);
-      for (int i = 0; i < 3; ++i) {
-        rv::Record r = rec;
-        r.sequence = static_cast<std::uint64_t>(i);
-        writer.write(r);
-      }
-      writer.close();
-    }
-    auto log_bytes = slurp(log_path);
-    emit(root, "record_log_scan", "clean_log", log_bytes);
-    log_bytes.resize(log_bytes.size() - 17);
-    emit(root, "record_log_scan", "torn_log", log_bytes);
-  }
 
   // wav: mono and stereo clips through the real encoder.
   {

@@ -4,14 +4,20 @@
 // The input unpacks as a mini-archive (see segment_archive.hpp) into a
 // scratch store directory — MANIFEST text, sealed segment files, tmp files —
 // then the read side runs the full gauntlet: SegmentStoreReader listing +
-// verify() + a seek/drain, and SegmentedRecordLog crash recovery opening the
-// same directory. Contract: hostile store bytes surface as clean errors
-// (runtime_error / WireError) or clean torn-tail reports, never as a crash,
-// a hang, or an attacker-sized allocation. Corpus seeds are real stores
-// serialized by corpus_gen, so coverage starts deep inside the happy path.
+// verify() + a seek/drain, the same directory replayed through
+// SegmentStoreSource with prefetch on and off (the reader production uses;
+// both window providers must yield the same samples and the same clean()),
+// and SegmentedRecordLog crash recovery opening the same directory.
+// Contract: hostile store bytes surface as clean errors (runtime_error /
+// WireError) or clean torn-tail reports, never as a crash, a hang, or an
+// attacker-sized allocation. Corpus seeds are real stores serialized by
+// corpus_gen, so coverage starts deep inside the happy path.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "fuzz_support.hpp"
 #include "river/segment_store.hpp"
@@ -19,6 +25,45 @@
 
 namespace rv = dynriver::river;
 namespace fz = dynriver::fuzz;
+
+namespace {
+
+struct Replay {
+  std::vector<float> samples;
+  bool clean = false;
+};
+
+/// Replay the whole store through SegmentStoreSource; nullopt when the store
+/// cannot be opened at all (damaged manifest).
+std::optional<Replay> replay(const std::filesystem::path& dir, bool prefetch) {
+  try {
+    rv::ReplayOptions options;
+    options.prefetch = prefetch;
+    rv::SegmentStoreSource source(dir, options);
+    Replay out;
+    std::vector<float> chunk(512);
+    while (out.samples.size() < (std::size_t{1} << 22)) {  // bounded drain
+      const std::size_t n = source.read(chunk);
+      if (n == 0) break;
+      out.samples.insert(out.samples.end(), chunk.begin(),
+                         chunk.begin() + static_cast<std::ptrdiff_t>(n));
+    }
+    out.clean = source.clean();
+    return out;
+  } catch (const std::runtime_error&) {
+    return std::nullopt;
+  }
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](float x, float y) {
+           return std::bit_cast<std::uint32_t>(x) ==
+                  std::bit_cast<std::uint32_t>(y);
+         });
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -43,6 +88,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   } catch (const std::runtime_error&) {
     // Damaged manifest / sealed segment: the documented failure mode
     // (WireError is a runtime_error too).
+  }
+
+  // Replay side: both window providers run one walk and one parser, so they
+  // must agree exactly — samples bit for bit, and the clean/lost verdict.
+  const auto prefetched = replay(dir, true);
+  const auto inline_read = replay(dir, false);
+  FUZZ_CHECK(prefetched.has_value() == inline_read.has_value());
+  if (prefetched.has_value()) {
+    FUZZ_CHECK(same_bits(prefetched->samples, inline_read->samples));
+    FUZZ_CHECK(prefetched->clean == inline_read->clean);
   }
 
   // Write side: crash recovery must adopt, truncate, or reject — cleanly.

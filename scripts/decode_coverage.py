@@ -31,7 +31,6 @@ DECODER_FILES = [
     "src/river/wire.cpp",
     "src/river/bitpack.hpp",
     "src/river/segment_store.cpp",
-    "src/river/record_log.cpp",
     "src/dsp/wav.cpp",
 ]
 

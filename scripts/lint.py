@@ -255,7 +255,6 @@ class Linter:
         "src/river/wire.cpp",
         "src/river/bitpack.hpp",
         "src/river/segment_store.cpp",
-        "src/river/record_log.cpp",
         "src/dsp/wav.cpp",
     )
 

@@ -10,6 +10,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <utility>
@@ -88,17 +89,6 @@ struct SegmentFooter {
 
 constexpr std::size_t kFooterCrcOffset = 44;
 constexpr std::size_t kIndexEntryBytes = 16;
-
-void encode_footer_prefix(std::uint8_t* dst, const SegmentFooter& f) {
-  put_raw<std::uint64_t>(dst + 0, f.frames);
-  put_raw<std::uint64_t>(dst + 8, f.payload_end);
-  put_raw<std::uint32_t>(dst + 16, f.index_count);
-  put_raw<std::uint16_t>(dst + 20, f.version);
-  put_raw<std::uint16_t>(dst + 22, f.flags);
-  put_raw<double>(dst + 24, f.t_min);
-  put_raw<double>(dst + 32, f.t_max);
-  put_raw<std::uint32_t>(dst + 40, f.payload_crc);
-}
 
 bool set_error(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
@@ -365,6 +355,60 @@ void SegmentedRecordLog::write_manifest() const {
 // SegmentedRecordLog
 // ---------------------------------------------------------------------------
 
+void SegmentedRecordLog::ActiveSegment::add(const std::uint8_t* env,
+                                             const std::uint8_t* frame,
+                                             std::uint32_t len, double t,
+                                             std::uint64_t index_every) {
+  if (frames == 0 || payload_bytes - last_index_bytes >= index_every) {
+    index_entries.emplace_back(t, kSegmentHeaderBytes + payload_bytes);
+    last_index_bytes = payload_bytes;
+  }
+  crc = crc32c(env, kEnvelopeHeaderBytes, crc);
+  crc = crc32c(frame, len, crc);
+  if (frames == 0) t_min = t;
+  t_max = t;
+  ++frames;
+  payload_bytes += kEnvelopeHeaderBytes + len;
+}
+
+std::vector<std::uint8_t> SegmentedRecordLog::ActiveSegment::tail() const {
+  // Sparse index then footer; footer_crc covers both up to itself.
+  std::vector<std::uint8_t> out(index_entries.size() * kIndexEntryBytes +
+                                kSegmentFooterBytes);
+  std::uint8_t* p = out.data();
+  for (const auto& [t, offset] : index_entries) {
+    put_raw<double>(p, t);
+    put_raw<std::uint64_t>(p + 8, offset);
+    p += kIndexEntryBytes;
+  }
+  put_raw<std::uint64_t>(p + 0, frames);
+  put_raw<std::uint64_t>(p + 8, kSegmentHeaderBytes + payload_bytes);
+  put_raw<std::uint32_t>(p + 16,
+                         static_cast<std::uint32_t>(index_entries.size()));
+  put_raw<std::uint16_t>(p + 20, kSegmentVersion);
+  put_raw<std::uint16_t>(p + 22, 0);  // flags
+  put_raw<double>(p + 24, t_min);
+  put_raw<double>(p + 32, t_max);
+  put_raw<std::uint32_t>(p + 40, crc);
+  put_raw<std::uint32_t>(
+      p + kFooterCrcOffset,
+      crc32c(out.data(), out.size() - kSegmentFooterBytes + kFooterCrcOffset));
+  put_raw<std::uint32_t>(p + kFooterCrcOffset + 4, kSegmentFooterMagic);
+  return out;
+}
+
+SegmentInfo SegmentedRecordLog::ActiveSegment::info(bool sealed) const {
+  SegmentInfo out;
+  out.name = segment_name(index);
+  out.frames = frames;
+  out.bytes = payload_bytes;
+  out.t_min = t_min;
+  out.t_max = t_max;
+  out.payload_crc = crc;
+  out.sealed = sealed;
+  return out;
+}
+
 SegmentedRecordLog::SegmentedRecordLog(const std::filesystem::path& dir,
                                        SegmentStoreOptions options)
     : dir_(dir), options_(options) {
@@ -477,8 +521,10 @@ void SegmentedRecordLog::recover() {
         if (!read_exact(in, env.data(), env.size())) break;
         const auto len = get_raw<std::uint32_t>(env.data());
         const auto t = get_raw<double>(env.data() + 4);
+        // Appends only take finite, non-decreasing times: anything else is
+        // damage, and sealing it would publish a manifest later opens reject.
         if (len == 0 || len > kMaxSegmentFrameBytes ||
-            pos + kEnvelopeHeaderBytes + len > size || std::isnan(t) ||
+            pos + kEnvelopeHeaderBytes + len > size || !std::isfinite(t) ||
             t < prev_t) {
           break;
         }
@@ -491,20 +537,9 @@ void SegmentedRecordLog::recover() {
         } catch (const WireError&) {
           break;
         }
-        if (scan.frames == 0 ||
-            scan.payload_bytes - scan.last_index_bytes >=
-                options_.index_every_bytes) {
-          scan.index_entries.emplace_back(t, pos);
-          scan.last_index_bytes = scan.payload_bytes;
-        }
-        scan.crc = crc32c(env.data(), env.size(), scan.crc);
-        scan.crc = crc32c(frame.data(), len, scan.crc);
-        if (scan.frames == 0) scan.t_min = t;
-        scan.t_max = t;
+        scan.add(env.data(), frame.data(), len, t, options_.index_every_bytes);
         prev_t = t;
-        ++scan.frames;
         pos += kEnvelopeHeaderBytes + len;
-        scan.payload_bytes += kEnvelopeHeaderBytes + len;
         valid = pos;
       }
     }
@@ -570,25 +605,15 @@ void SegmentedRecordLog::append(const Record& rec, double t) {
   put_raw<std::uint32_t>(env.data(), static_cast<std::uint32_t>(frame.size()));
   put_raw<double>(env.data() + 4, t);
 
-  if (active_.frames == 0 ||
-      active_.payload_bytes - active_.last_index_bytes >=
-          options_.index_every_bytes) {
-    active_.index_entries.emplace_back(
-        t, kSegmentHeaderBytes + active_.payload_bytes);
-    active_.last_index_bytes = active_.payload_bytes;
-  }
-
   if (std::fwrite(env.data(), 1, env.size(), active_.file) != env.size() ||
       std::fwrite(frame.data(), 1, frame.size(), active_.file) !=
           frame.size()) {
+    abandon_active_locked();
     throw std::runtime_error("segment append failed in " + dir_.string());
   }
-  active_.crc = crc32c(env.data(), env.size(), active_.crc);
-  active_.crc = crc32c(frame.data(), frame.size(), active_.crc);
-  if (active_.frames == 0) active_.t_min = t;
-  active_.t_max = t;
-  active_.payload_bytes += env.size() + frame.size();
-  ++active_.frames;
+  active_.add(env.data(), frame.data(),
+              static_cast<std::uint32_t>(frame.size()), t,
+              options_.index_every_bytes);
   last_t_ = t;
   ++written_;
 }
@@ -596,7 +621,26 @@ void SegmentedRecordLog::append(const Record& rec, double t) {
 void SegmentedRecordLog::sync() {
   const common::LockGuard lock(mu_);
   if (active_.file == nullptr) return;
-  fsync_file(active_.file, segment_name(active_.index));
+  try {
+    fsync_file(active_.file, segment_name(active_.index));
+  } catch (...) {
+    abandon_active_locked();
+    throw;
+  }
+}
+
+void SegmentedRecordLog::abandon_active_locked() {
+  // A failed write or flush leaves the active file holding an unknown
+  // prefix of what active_ accounts for: sealing it would publish a footer
+  // over bytes that never reached disk, and a new segment or a merge taking
+  // its index would overwrite the ones that did. So the log stops here; the
+  // next open's recovery truncates the file to its valid prefix and seals
+  // it.
+  if (active_.file != nullptr) {
+    std::fclose(active_.file);  // best-effort: the write already failed
+  }
+  active_ = ActiveSegment{};
+  closed_ = true;
 }
 
 void SegmentedRecordLog::seal_active() {
@@ -615,60 +659,25 @@ void SegmentedRecordLog::seal_active_locked() {
     return;
   }
 
-  // Tail = sparse index then footer; footer_crc covers both up to itself.
-  std::vector<std::uint8_t> tail(
-      active_.index_entries.size() * kIndexEntryBytes + kSegmentFooterBytes);
-  std::uint8_t* p = tail.data();
-  for (const auto& [t, offset] : active_.index_entries) {
-    put_raw<double>(p, t);
-    put_raw<std::uint64_t>(p + 8, offset);
-    p += kIndexEntryBytes;
-  }
-  SegmentFooter footer;
-  footer.frames = active_.frames;
-  footer.payload_end = kSegmentHeaderBytes + active_.payload_bytes;
-  footer.index_count = static_cast<std::uint32_t>(active_.index_entries.size());
-  footer.version = kSegmentVersion;
-  footer.flags = 0;
-  footer.t_min = active_.t_min;
-  footer.t_max = active_.t_max;
-  footer.payload_crc = active_.crc;
-  encode_footer_prefix(p, footer);
-  const std::uint32_t footer_crc =
-      crc32c(tail.data(), tail.size() - kSegmentFooterBytes + kFooterCrcOffset);
-  put_raw<std::uint32_t>(p + kFooterCrcOffset, footer_crc);
-  put_raw<std::uint32_t>(p + kFooterCrcOffset + 4, kSegmentFooterMagic);
-
-  const bool wrote =
-      std::fwrite(tail.data(), 1, tail.size(), active_.file) == tail.size();
-  if (wrote && options_.sync_on_seal) {
-    try {
-      fsync_file(active_.file, name);
-    } catch (...) {
-      // Never leave a half-sealed segment as the active one: a retry (or
-      // the destructor's close()) would append a second tail to the same
-      // file. Drop it; recovery adopts the file on reopen — as a sealed
-      // segment if the tail reached disk, else by valid-prefix truncation.
-      std::fclose(active_.file);  // best-effort: segment dropped, rethrowing
-      active_ = ActiveSegment{};
-      throw;
+  // A failed seal never leaves a half-sealed segment as the active one: a
+  // retry (or the destructor's close()) would append a second tail to the
+  // same file. Recovery adopts the file on reopen — as a sealed segment if
+  // the tail reached disk, else by valid-prefix truncation.
+  const auto tail = active_.tail();
+  try {
+    const bool wrote =
+        std::fwrite(tail.data(), 1, tail.size(), active_.file) == tail.size();
+    if (wrote && options_.sync_on_seal) fsync_file(active_.file, name);
+    const bool closed = std::fclose(active_.file) == 0;
+    active_.file = nullptr;
+    if (!wrote || !closed) {
+      throw std::runtime_error("segment seal failed: " + path.string());
     }
+  } catch (...) {
+    abandon_active_locked();
+    throw;
   }
-  const bool closed = std::fclose(active_.file) == 0;
-  if (!wrote || !closed) {
-    active_ = ActiveSegment{};
-    throw std::runtime_error("segment seal failed: " + path.string());
-  }
-
-  SegmentInfo info;
-  info.name = name;
-  info.frames = active_.frames;
-  info.bytes = active_.payload_bytes;
-  info.t_min = active_.t_min;
-  info.t_max = active_.t_max;
-  info.payload_crc = active_.crc;
-  info.sealed = true;
-  sealed_.push_back(std::move(info));
+  sealed_.push_back(active_.info(true));
   next_index_ = active_.index + 1;
   active_ = ActiveSegment{};
   write_manifest();
@@ -716,6 +725,9 @@ std::size_t SegmentedRecordLog::compact(std::uint64_t min_bytes,
 std::size_t SegmentedRecordLog::compact_locked(std::uint64_t min_bytes,
                                                std::size_t max_run,
                                                std::uint64_t* bytes_rewritten) {
+  // After an abandoned active segment the merged segment would take that
+  // file's index and overwrite it.
+  DR_EXPECTS(!closed_);
   if (bytes_rewritten != nullptr) *bytes_rewritten = 0;
   if (max_run < 2) return 0;
   // Rotate first: the merged segment takes the next free index, and while a
@@ -737,127 +749,79 @@ std::size_t SegmentedRecordLog::compact_locked(std::uint64_t min_bytes,
       continue;
     }
 
-    const auto merged_index = next_index_;
-    const auto merged_name = segment_name(merged_index);
+    // Merge by raw envelope copy into a temp file: frames are never
+    // re-encoded, only the index/footer are rebuilt over the concatenation.
+    // Then seal it, and journal the swap in the manifest BEFORE the rename:
+    // recovery rolls the rename forward (manifest names a file that only
+    // exists as .tmp) and deletes the replaced segments (indexes below
+    // `next`).
+    ActiveSegment merged;
+    merged.index = next_index_;
+    const auto merged_name = segment_name(merged.index);
     const auto tmp = fs::path((dir_ / merged_name).string() + ".tmp");
-    std::FILE* out = std::fopen(tmp.c_str(), "wb");
-    if (out == nullptr) {
+    merged.file = std::fopen(tmp.c_str(), "wb");
+    if (merged.file == nullptr) {
       throw std::runtime_error("compaction: cannot open " + tmp.string());
     }
-    const auto header = segment_header_bytes();
-    if (std::fwrite(header.data(), 1, header.size(), out) != header.size()) {
-      std::fclose(out);  // best-effort: .tmp discarded on throw
-      throw std::runtime_error("compaction: header write failed: " +
-                               tmp.string());
-    }
-
-    // Merge by raw envelope copy: frames are never re-encoded, only the
-    // index/footer are rebuilt over the concatenation.
-    ActiveSegment merged;
-    merged.index = merged_index;
-    std::vector<std::uint8_t> frame;
-    std::array<std::uint8_t, kEnvelopeHeaderBytes> env;
-    for (std::size_t i = run_begin; i < run_end; ++i) {
-      const auto path = dir_ / sealed_[i].name;
-      SegmentFooter footer;
-      std::string err;
-      if (!load_segment_footer(path, footer, &err)) {
-        std::fclose(out);  // best-effort: .tmp discarded on throw
-        throw std::runtime_error("compaction: " + err);
+    try {
+      const auto header = segment_header_bytes();
+      if (std::fwrite(header.data(), 1, header.size(), merged.file) !=
+          header.size()) {
+        throw std::runtime_error("compaction: header write failed: " +
+                                 tmp.string());
       }
-      std::ifstream in(path, std::ios::binary);
-      in.seekg(static_cast<std::streamoff>(kSegmentHeaderBytes));
-      std::uint64_t pos = kSegmentHeaderBytes;
-      while (pos < footer.payload_end) {
-        if (!read_exact(in, env.data(), env.size())) break;
-        const auto len = get_raw<std::uint32_t>(env.data());
-        const auto t = get_raw<double>(env.data() + 4);
-        if (len == 0 || len > kMaxSegmentFrameBytes ||
-            pos + kEnvelopeHeaderBytes + len > footer.payload_end) {
-          std::fclose(out);  // best-effort: .tmp discarded on throw
-          throw std::runtime_error("compaction: corrupt envelope in " +
-                                   path.string());
+      std::vector<std::uint8_t> frame;
+      std::array<std::uint8_t, kEnvelopeHeaderBytes> env;
+      for (std::size_t i = run_begin; i < run_end; ++i) {
+        const auto path = dir_ / sealed_[i].name;
+        SegmentFooter footer;
+        std::string err;
+        if (!load_segment_footer(path, footer, &err)) {
+          throw std::runtime_error("compaction: " + err);
         }
-        frame.resize(len);
-        if (!read_exact(in, frame.data(), len)) {
-          std::fclose(out);  // best-effort: .tmp discarded on throw
-          throw std::runtime_error("compaction: short read in " +
-                                   path.string());
+        std::ifstream in(path, std::ios::binary);
+        in.seekg(static_cast<std::streamoff>(kSegmentHeaderBytes));
+        std::uint64_t pos = kSegmentHeaderBytes;
+        while (pos < footer.payload_end) {
+          if (!read_exact(in, env.data(), env.size())) break;
+          const auto len = get_raw<std::uint32_t>(env.data());
+          const auto t = get_raw<double>(env.data() + 4);
+          if (len == 0 || len > kMaxSegmentFrameBytes ||
+              pos + kEnvelopeHeaderBytes + len > footer.payload_end) {
+            throw std::runtime_error("compaction: corrupt envelope in " +
+                                     path.string());
+          }
+          frame.resize(len);
+          if (!read_exact(in, frame.data(), len)) {
+            throw std::runtime_error("compaction: short read in " +
+                                     path.string());
+          }
+          if (std::fwrite(env.data(), 1, env.size(), merged.file) !=
+                  env.size() ||
+              std::fwrite(frame.data(), 1, len, merged.file) != len) {
+            throw std::runtime_error("compaction: write failed: " +
+                                     tmp.string());
+          }
+          merged.add(env.data(), frame.data(), len, t,
+                     options_.index_every_bytes);
+          pos += kEnvelopeHeaderBytes + len;
         }
-        if (merged.frames == 0 ||
-            merged.payload_bytes - merged.last_index_bytes >=
-                options_.index_every_bytes) {
-          merged.index_entries.emplace_back(
-              t, kSegmentHeaderBytes + merged.payload_bytes);
-          merged.last_index_bytes = merged.payload_bytes;
-        }
-        if (std::fwrite(env.data(), 1, env.size(), out) != env.size() ||
-            std::fwrite(frame.data(), 1, len, out) != len) {
-          std::fclose(out);  // best-effort: .tmp discarded on throw
-          throw std::runtime_error("compaction: write failed: " +
-                                   tmp.string());
-        }
-        merged.crc = crc32c(env.data(), env.size(), merged.crc);
-        merged.crc = crc32c(frame.data(), len, merged.crc);
-        if (merged.frames == 0) merged.t_min = t;
-        merged.t_max = t;
-        ++merged.frames;
-        pos += kEnvelopeHeaderBytes + len;
-        merged.payload_bytes += kEnvelopeHeaderBytes + len;
       }
-    }
-
-    // Seal the temp file, then journal the swap in the manifest BEFORE the
-    // rename: recovery rolls the rename forward (manifest names a file that
-    // only exists as .tmp) and deletes the replaced segments (indexes below
-    // `next`).
-    {
-      std::vector<std::uint8_t> tail(
-          merged.index_entries.size() * kIndexEntryBytes + kSegmentFooterBytes);
-      std::uint8_t* p = tail.data();
-      for (const auto& [t, offset] : merged.index_entries) {
-        put_raw<double>(p, t);
-        put_raw<std::uint64_t>(p + 8, offset);
-        p += kIndexEntryBytes;
-      }
-      SegmentFooter footer;
-      footer.frames = merged.frames;
-      footer.payload_end = kSegmentHeaderBytes + merged.payload_bytes;
-      footer.index_count =
-          static_cast<std::uint32_t>(merged.index_entries.size());
-      footer.version = kSegmentVersion;
-      footer.flags = 0;
-      footer.t_min = merged.t_min;
-      footer.t_max = merged.t_max;
-      footer.payload_crc = merged.crc;
-      encode_footer_prefix(p, footer);
-      const std::uint32_t footer_crc = crc32c(
-          tail.data(), tail.size() - kSegmentFooterBytes + kFooterCrcOffset);
-      put_raw<std::uint32_t>(p + kFooterCrcOffset, footer_crc);
-      put_raw<std::uint32_t>(p + kFooterCrcOffset + 4, kSegmentFooterMagic);
+      const auto tail = merged.tail();
       const bool wrote =
-          std::fwrite(tail.data(), 1, tail.size(), out) == tail.size();
-      if (wrote && options_.sync_on_seal) {
-        try {
-          fsync_file(out, merged_name);
-        } catch (...) {
-          std::fclose(out);  // best-effort: pre-publish .tmp, recovery removes it
-          throw;
-        }
-      }
-      const bool closed = std::fclose(out) == 0;
+          std::fwrite(tail.data(), 1, tail.size(), merged.file) == tail.size();
+      if (wrote && options_.sync_on_seal) fsync_file(merged.file, merged_name);
+      const bool closed = std::fclose(merged.file) == 0;
+      merged.file = nullptr;
       if (!wrote || !closed) {
         throw std::runtime_error("compaction: seal failed: " + tmp.string());
       }
+    } catch (...) {
+      if (merged.file != nullptr) {
+        std::fclose(merged.file);  // best-effort: unpublished .tmp, throwing
+      }
+      throw;
     }
-    SegmentInfo merged_info;
-    merged_info.name = merged_name;
-    merged_info.frames = merged.frames;
-    merged_info.bytes = merged.payload_bytes;
-    merged_info.t_min = merged.t_min;
-    merged_info.t_max = merged.t_max;
-    merged_info.payload_crc = merged.crc;
-    merged_info.sealed = true;
     std::vector<std::string> replaced;
     for (std::size_t i = run_begin; i < run_end; ++i) {
       replaced.push_back(sealed_[i].name);
@@ -866,8 +830,8 @@ std::size_t SegmentedRecordLog::compact_locked(std::uint64_t min_bytes,
     sealed_.erase(sealed_.begin() + static_cast<std::ptrdiff_t>(run_begin),
                   sealed_.begin() + static_cast<std::ptrdiff_t>(run_end));
     sealed_.insert(sealed_.begin() + static_cast<std::ptrdiff_t>(run_begin),
-                   merged_info);
-    next_index_ = merged_index + 1;
+                   merged.info(true));
+    next_index_ = merged.index + 1;
     write_manifest();
     fs::rename(tmp, dir_ / merged_name);
     if (options_.sync_on_seal) fsync_directory(dir_);
@@ -898,17 +862,7 @@ double SegmentedRecordLog::last_time() const {
 std::vector<SegmentInfo> SegmentedRecordLog::segments() const {
   const common::LockGuard lock(mu_);
   auto out = sealed_;
-  if (active_.file != nullptr) {
-    SegmentInfo info;
-    info.name = segment_name(active_.index);
-    info.frames = active_.frames;
-    info.bytes = active_.payload_bytes;
-    info.t_min = active_.t_min;
-    info.t_max = active_.t_max;
-    info.payload_crc = active_.crc;
-    info.sealed = false;
-    out.push_back(std::move(info));
-  }
+  if (active_.file != nullptr) out.push_back(active_.info(false));
   return out;
 }
 
@@ -1026,14 +980,9 @@ bool SegmentStoreReader::verify(std::string* error) const {
         footer.payload_end - kSegmentHeaderBytes != s.bytes) {
       return set_error(error, path.string() + ": footer disagrees with manifest");
     }
+    // Loading checks the index CRC and every entry's bounds and order.
     std::vector<std::pair<double, std::uint64_t>> index;
     if (!load_segment_index(path, footer, index, error)) return false;
-    for (const auto& [t, offset] : index) {
-      if (offset < kSegmentHeaderBytes || offset >= footer.payload_end ||
-          std::isnan(t)) {
-        return set_error(error, path.string() + ": index entry out of bounds");
-      }
-    }
     std::ifstream in(path, std::ios::binary);
     if (!in) return set_error(error, "cannot open " + path.string());
     in.seekg(static_cast<std::streamoff>(kSegmentHeaderBytes));
@@ -1057,230 +1006,182 @@ bool SegmentStoreReader::verify(std::string* error) const {
   return true;
 }
 
-SegmentStoreReader::Cursor SegmentStoreReader::seek(double t0, double t1) {
-  return Cursor(this, t0, t1);
-}
+// ---------------------------------------------------------------------------
+// Read path: one segment walk, two window providers, one envelope parser
+// ---------------------------------------------------------------------------
 
-bool SegmentStoreReader::Cursor::open_next_segment() {
-  if (!positioned_) {
-    positioned_ = true;
+namespace detail {
+
+/// Where a cursor's windows come from.
+class SegmentWindowProvider {
+ public:
+  SegmentWindowProvider() = default;
+  virtual ~SegmentWindowProvider() = default;
+  SegmentWindowProvider(const SegmentWindowProvider&) = delete;
+  SegmentWindowProvider& operator=(const SegmentWindowProvider&) = delete;
+
+  /// Replace `w` with the walk's next window, recycling its buffer; false
+  /// at the end of the walk. Throws WireError when a sealed segment cannot
+  /// be read.
+  [[nodiscard]] virtual bool next(SegmentWindow& w) = 0;
+};
+
+/// The read-side segment walk every cursor runs: sealed segments in manifest
+/// order from the first one overlapping [t0, t1), then the active tail. Each
+/// next() reads one segment's payload — from its sparse-index probe to its
+/// payload end, or to the statted size of the active tail — into one
+/// in-memory window. Holds references into the reader's immutable snapshot.
+/// Called directly, it is the inline provider: the walk runs on the
+/// consumer's thread, one window buffer reused.
+class SegmentWalker final : public SegmentWindowProvider {
+ public:
+  SegmentWalker(const fs::path& dir, const std::vector<SegmentInfo>& sealed,
+                const std::string& active_name, double t0, double t1)
+      : dir_(dir), sealed_(sealed), active_name_(active_name), t0_(t0),
+        t1_(t1) {
     // O(log n): first sealed segment whose span can reach t0.
     const auto it = std::lower_bound(
-        store_->sealed_.begin(), store_->sealed_.end(), t0_,
+        sealed_.begin(), sealed_.end(), t0_,
         [](const SegmentInfo& s, double t) { return s.t_max < t; });
-    seg_i_ = checked::narrow<std::size_t, std::runtime_error>(
-        it - store_->sealed_.begin(), "segment cursor position");
+    next_ = checked::narrow<std::size_t, std::runtime_error>(
+        it - sealed_.begin(), "segment walk start");
   }
-  while (seg_i_ < store_->sealed_.size()) {
-    const SegmentInfo& s = store_->sealed_[seg_i_];
-    if (s.t_min >= t1_) return false;  // time is monotone: nothing later fits
+
+  [[nodiscard]] bool next(SegmentWindow& w) override {
+    if (done_) return false;
+    if (next_ < sealed_.size()) {
+      const SegmentInfo& s = sealed_[next_++];
+      if (s.t_min < t1_) return read_sealed(s, w);
+      // Time is monotone: nothing later fits, the active tail included.
+    } else if (!active_name_.empty()) {
+      done_ = true;
+      return read_active(w);
+    }
+    done_ = true;
+    return false;
+  }
+
+ private:
+  [[nodiscard]] bool read_sealed(const SegmentInfo& s, SegmentWindow& w) const {
     // The manifest is the truth, but an in-flight compaction may still hold
     // the file under its temp name and rename it at any moment. Try both
     // names, twice, so a rename landing between any two of our steps cannot
-    // fail the cursor spuriously. (Retention/compaction that *deletes* a
-    // snapshot's files still invalidates the cursor — see the header.)
-    const auto final_path = store_->dir_ / s.name;
+    // fail the walk spuriously. (Retention/compaction that *deletes* a
+    // snapshot's files still invalidates it — see the header.)
+    const auto final_path = dir_ / s.name;
     const auto tmp_path = fs::path(final_path.string() + ".tmp");
     fs::path path;
     SegmentFooter footer;
     std::string err;
-    bool opened_file = false;
-    for (int attempt = 0; attempt < 2 && !opened_file; ++attempt) {
+    std::ifstream in;
+    for (int attempt = 0; attempt < 2 && !in.is_open(); ++attempt) {
       for (const auto& candidate : {final_path, tmp_path}) {
         std::string e;
         if (!load_segment_footer(candidate, footer, &e)) {
           if (err.empty()) err = e;
           continue;
         }
-        file_.clear();
-        file_.open(candidate, std::ios::binary);
-        if (!file_) continue;  // renamed away between footer load and open
+        in.clear();
+        in.open(candidate, std::ios::binary);
+        if (!in.is_open()) continue;  // renamed away since the footer load
         path = candidate;
-        opened_file = true;
         break;
       }
     }
-    if (!opened_file) throw WireError("segment store: " + err);
-    ++store_->opened_;
-    ++seg_i_;
-    in_active_ = false;
-    pos_ = kSegmentHeaderBytes;
-    end_ = footer.payload_end;
+    if (!in.is_open()) throw WireError("segment store: " + err);
+
+    std::uint64_t start = kSegmentHeaderBytes;
     if (s.t_min < t0_ && footer.index_count > 0) {
-      // Sparse-index probe: start the scan at the last entry at or before
-      // t0 instead of the head of the segment.
+      // Sparse-index probe: start at the last entry at or before t0 instead
+      // of the head of the segment.
       std::vector<std::pair<double, std::uint64_t>> index;
       if (!load_segment_index(path, footer, index, &err)) {
         throw WireError("segment store: " + err);
       }
-      auto it = std::upper_bound(
+      const auto it = std::upper_bound(
           index.begin(), index.end(), t0_,
           [](double t, const std::pair<double, std::uint64_t>& e) {
             return t < e.first;
           });
-      if (it != index.begin()) pos_ = (*std::prev(it)).second;
+      if (it != index.begin()) start = std::prev(it)->second;
     }
-    file_.seekg(static_cast<std::streamoff>(pos_));
+    w.base = start;
+    w.active = false;
+    w.header_torn = false;
+    // start <= payload_end: it is either the header size (footer geometry
+    // enforces payload_end >= that) or a validated sparse-index offset.
+    w.bytes.resize(checked::narrow<std::size_t, WireError>(
+        footer.payload_end - start, "segment window size"));
+    in.seekg(static_cast<std::streamoff>(start));
+    if (!read_exact(in, w.bytes.data(), w.bytes.size())) {
+      throw WireError("segment store: short payload read in " + path.string());
+    }
     return true;
   }
-  if (tried_active_ || store_->active_name_.empty()) return false;
-  tried_active_ = true;
-  const auto path = store_->dir_ / store_->active_name_;
-  std::error_code ec;
-  const auto size = fs::file_size(path, ec);
-  if (ec || size <= kSegmentHeaderBytes) return false;
-  const double sealed_t_max = store_->sealed_.empty()
-                                  ? -std::numeric_limits<double>::infinity()
-                                  : store_->sealed_.back().t_max;
-  std::uint64_t sealed_end = 0;
-  if (!probe_presumed_active(path, sealed_t_max, &sealed_end)) {
-    return false;  // a racing compaction reused the index: merged old data
-  }
-  file_.open(path, std::ios::binary);
-  if (!file_) return false;  // writer may have just sealed+rotated it
-  ++store_->opened_;
-  std::array<std::uint8_t, kSegmentHeaderBytes> header;
-  if (!read_exact(file_, header.data(), header.size()) ||
-      get_raw<std::uint32_t>(header.data()) != kSegmentMagic) {
-    // Header bytes still in the writer's buffer: nothing readable yet.
-    file_.close();
-    torn_ = true;
-    lost_bytes_ = size;
-    return false;
-  }
-  // sealed_end != 0: the writer sealed this segment after our snapshot —
-  // read exactly its payload (sealed semantics: damage throws, not torn).
-  in_active_ = sealed_end == 0;
-  pos_ = kSegmentHeaderBytes;
-  end_ = sealed_end != 0 ? sealed_end : size;  // bounded snapshot of the tail
-  return true;
-}
 
-bool SegmentStoreReader::Cursor::fail_torn() {
-  torn_ = true;
-  lost_bytes_ = checked::narrow<std::size_t, std::runtime_error>(
-      end_ - pos_, "torn tail size");
-  done_ = true;
-  return false;
-}
-
-// Pull the next in-range frame's bytes into frame_buf_ (stamp in pending_t_)
-// without consuming it: pos_ stays at the envelope until commit_frame(), so a
-// decode failure reports lost_bytes_ from the right spot. False at end of
-// range or torn tail (done_ set); throws on sealed-segment damage.
-bool SegmentStoreReader::Cursor::fetch_frame(std::uint32_t& len_out) {
-  if (done_) return false;
-  std::array<std::uint8_t, kEnvelopeHeaderBytes> env;
-  for (;;) {
-    if (!file_.is_open()) {
-      if (!open_next_segment()) {
-        done_ = true;
-        return false;
-      }
+  [[nodiscard]] bool read_active(SegmentWindow& w) const {
+    const auto path = dir_ / active_name_;
+    std::error_code ec;
+    const auto size = fs::file_size(path, ec);
+    if (ec || size <= kSegmentHeaderBytes) return false;  // nothing readable
+    const double sealed_t_max = sealed_.empty()
+                                    ? -std::numeric_limits<double>::infinity()
+                                    : sealed_.back().t_max;
+    std::uint64_t sealed_end = 0;
+    if (!probe_presumed_active(path, sealed_t_max, &sealed_end)) {
+      return false;  // a racing compaction reused the index: merged old data
     }
-    if (pos_ + kEnvelopeHeaderBytes > end_) {
-      if (in_active_ && pos_ < end_) return fail_torn();
-      file_.close();
-      continue;
-    }
-    if (!read_exact(file_, env.data(), env.size())) {
-      if (in_active_) return fail_torn();
-      throw WireError("segment store: short envelope read");
-    }
-    const auto len = get_raw<std::uint32_t>(env.data());
-    const auto t = get_raw<double>(env.data() + 4);
-    if (len == 0 || len > kMaxSegmentFrameBytes ||
-        pos_ + kEnvelopeHeaderBytes + len > end_) {
-      // Mid-envelope snapshot of the writer (or its in-flight tail after a
-      // concurrent seal): everything from here on is not yet readable.
-      if (in_active_) return fail_torn();
-      throw WireError("segment store: corrupt envelope");
-    }
-    ++scanned_;
-    if (t >= t1_) {  // time is monotone: the range is exhausted
-      done_ = true;
-      return false;
-    }
-    if (t < t0_) {  // skip without decoding
-      pos_ += kEnvelopeHeaderBytes + len;
-      file_.seekg(static_cast<std::streamoff>(pos_));
-      continue;
-    }
-    frame_buf_.resize(len);
-    if (!read_exact(file_, frame_buf_.data(), len)) {
-      if (in_active_) return fail_torn();
-      throw WireError("segment store: short frame read");
-    }
-    pending_t_ = t;
-    len_out = len;
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return false;  // writer may have just sealed+rotated it
+    std::array<std::uint8_t, kSegmentHeaderBytes> header;
+    const bool header_ok =
+        read_exact(in, header.data(), header.size()) &&
+        get_raw<std::uint32_t>(header.data()) == kSegmentMagic;
+    // Header bytes still in the writer's buffer: the whole file is one torn
+    // window. sealed_end != 0: the writer sealed this segment after our
+    // snapshot — read exactly its payload, with sealed semantics (damage
+    // throws instead of reading as torn).
+    w.header_torn = !header_ok;
+    w.active = sealed_end == 0 || !header_ok;
+    w.base = header_ok ? kSegmentHeaderBytes : 0;
+    const std::uint64_t end = sealed_end != 0 ? sealed_end : size;
+    w.bytes.resize(checked::narrow<std::size_t, WireError>(
+        end - w.base, "active window size"));
+    // The file may be growing under us; the statted size is our bounded
+    // snapshot of the tail.
+    in.clear();
+    in.seekg(static_cast<std::streamoff>(w.base));
+    in.read(reinterpret_cast<char*>(w.bytes.data()),
+            static_cast<std::streamsize>(w.bytes.size()));
+    w.bytes.resize(checked::narrow<std::size_t, WireError>(
+        in.gcount(), "active window read size"));
     return true;
   }
-}
 
-void SegmentStoreReader::Cursor::commit_frame(std::uint32_t len) {
-  pos_ += kEnvelopeHeaderBytes + len;
-  time_ = pending_t_;
-}
+  const fs::path& dir_;
+  const std::vector<SegmentInfo>& sealed_;
+  const std::string& active_name_;
+  const double t0_;
+  const double t1_;
+  std::size_t next_ = 0;  ///< next sealed segment to consider
+  bool done_ = false;
+};
 
-bool SegmentStoreReader::Cursor::next(Record& out) {
-  std::uint32_t len = 0;
-  if (!fetch_frame(len)) return false;
-  try {
-    std::size_t consumed = 0;
-    out = decode_record(frame_buf_.data(), len, consumed);
-    if (consumed != len) throw WireError("trailing bytes in envelope");
-  } catch (const WireError&) {
-    if (in_active_) return fail_torn();
-    throw;
-  }
-  commit_frame(len);
-  return true;
-}
-
-bool SegmentStoreReader::Cursor::next_view(RecordView& out) {
-  std::uint32_t len = 0;
-  if (!fetch_frame(len)) return false;
-  try {
-    std::size_t consumed = 0;
-    out = decode_record_view(frame_buf_.data(), len, consumed, scratch_);
-    if (consumed != len) throw WireError("trailing bytes in envelope");
-  } catch (const WireError&) {
-    if (in_active_) return fail_torn();
-    throw;
-  }
-  commit_frame(len);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// SegmentPrefetcher
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-/// Background segment loader for prefetching replay. One thread walks the
-/// same segment sequence a Cursor would — sealed segments in manifest order
-/// from the first overlapping [t0, t1), then the active tail — and reads each
-/// segment's payload region into one in-memory window, one segment ahead of
-/// the consumer. The hand-off queue is one window deep and consumed buffers
-/// are recycled back to the loader, so the steady state is double-buffered
-/// with no allocation. The destructor joins the thread however early the
-/// consumer stops.
-class SegmentPrefetcher {
+/// Runs the walk on a background thread, one window ahead of the consumer.
+/// The hand-off slot is one window deep and the consumer's drained buffer is
+/// recycled to the loader, so the steady state is double-buffered with no
+/// allocation. The destructor joins the thread however early the consumer
+/// stops.
+class PrefetchingWindows final : public SegmentWindowProvider {
  public:
-  struct Window {
-    std::vector<std::uint8_t> bytes;  ///< file contents [base, base+size)
-    std::uint64_t base = 0;           ///< file offset of bytes[0]
-    bool active = false;              ///< from the unsealed active segment
-    bool header_torn = false;         ///< active header unreadable: all torn
-  };
-
-  SegmentPrefetcher(const SegmentStoreReader& reader, double t0, double t1)
-      : reader_(reader), t0_(t0), t1_(t1) {
+  PrefetchingWindows(const fs::path& dir,
+                     const std::vector<SegmentInfo>& sealed,
+                     const std::string& active_name, double t0, double t1)
+      : walker_(dir, sealed, active_name, t0, t1) {
     thread_ = std::thread([this] { run(); });
   }
 
-  ~SegmentPrefetcher() {
+  ~PrefetchingWindows() override {
     {
       const common::LockGuard lock(mu_);
       stop_ = true;
@@ -1289,16 +1190,12 @@ class SegmentPrefetcher {
     if (thread_.joinable()) thread_.join();
   }
 
-  SegmentPrefetcher(const SegmentPrefetcher&) = delete;
-  SegmentPrefetcher& operator=(const SegmentPrefetcher&) = delete;
-
-  /// Blocks for the next window; false at the end of the segment sequence.
-  /// Rethrows a loader-side failure (missing sealed segment file, ...).
-  [[nodiscard]] bool next(Window& out) {
+  [[nodiscard]] bool next(SegmentWindow& w) override {
     common::UniqueLock lock(mu_);
+    spare_ = std::move(w.bytes);
     while (!ready_.has_value() && !done_) cv_.wait(lock);
     if (ready_.has_value()) {
-      out = std::move(*ready_);
+      w = std::move(*ready_);
       ready_.reset();
       cv_.notify_all();  // free the loader's slot
       return true;
@@ -1307,62 +1204,25 @@ class SegmentPrefetcher {
     return false;
   }
 
-  /// Return a drained window's buffer for reuse by the loader.
-  void recycle(std::vector<std::uint8_t>&& buf) {
-    const common::LockGuard lock(mu_);
-    spare_ = std::move(buf);
-  }
-
  private:
-  [[nodiscard]] bool stopped() const {
-    const common::LockGuard lock(mu_);
-    return stop_;
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t> take_buffer() {
-    const common::LockGuard lock(mu_);
-    return std::move(spare_);
-  }
-
-  /// Hand a window to the consumer once the slot frees; false when stopping.
-  [[nodiscard]] bool emit(Window&& w) {
-    common::UniqueLock lock(mu_);
-    while (ready_.has_value() && !stop_) cv_.wait(lock);
-    if (stop_) return false;
-    ready_ = std::move(w);
-    cv_.notify_all();
-    return true;
-  }
-
   void run() {
     try {
-      const auto segs = reader_.segments();  // snapshot, like a cursor's
-      std::size_t n_sealed = 0;
-      while (n_sealed < segs.size() && segs[n_sealed].sealed) ++n_sealed;
-
-      // O(log n): first sealed segment whose span can reach t0.
-      const auto begin = segs.begin();
-      const auto it = std::lower_bound(
-          begin, begin + static_cast<std::ptrdiff_t>(n_sealed), t0_,
-          [](const SegmentInfo& s, double t) { return s.t_max < t; });
-      bool hit_t1 = false;
-      for (auto i = checked::narrow<std::size_t, std::runtime_error>(
-               it - begin, "prefetch start segment");
-           i < n_sealed; ++i) {
-        if (stopped()) return;
-        const SegmentInfo& s = segs[i];
-        if (s.t_min >= t1_) {  // time is monotone: nothing later fits
-          hit_t1 = true;
-          break;
+      SegmentWindow w;
+      for (;;) {
+        {
+          // Read ahead only once the slot is free: at most one loaded
+          // window waits beside the one the consumer is parsing.
+          common::UniqueLock lock(mu_);
+          while (ready_.has_value() && !stop_) cv_.wait(lock);
+          if (stop_) return;
+          w.bytes = std::move(spare_);
         }
-        if (!load_sealed(s)) return;
-      }
-      const double sealed_t_max =
-          n_sealed > 0 ? segs[n_sealed - 1].t_max
-                       : -std::numeric_limits<double>::infinity();
-      if (!hit_t1 && n_sealed < segs.size() &&
-          !load_active(segs[n_sealed], sealed_t_max)) {
-        return;
+        if (!walker_.next(w)) break;
+        {
+          const common::LockGuard lock(mu_);
+          ready_ = std::move(w);
+        }
+        cv_.notify_all();
       }
     } catch (...) {
       const common::LockGuard lock(mu_);
@@ -1375,107 +1235,10 @@ class SegmentPrefetcher {
     cv_.notify_all();
   }
 
-  /// Load one sealed segment's payload window; false when stopping.
-  [[nodiscard]] bool load_sealed(const SegmentInfo& s) {
-    // Same dual-name retry as Cursor::open_next_segment: an in-flight
-    // compaction may still hold the file under its temp name.
-    const auto final_path = reader_.directory() / s.name;
-    const auto tmp_path = fs::path(final_path.string() + ".tmp");
-    SegmentFooter footer;
-    fs::path path;
-    std::string err;
-    bool opened_file = false;
-    std::ifstream in;
-    for (int attempt = 0; attempt < 2 && !opened_file; ++attempt) {
-      for (const auto& candidate : {final_path, tmp_path}) {
-        std::string e;
-        if (!load_segment_footer(candidate, footer, &e)) {
-          if (err.empty()) err = e;
-          continue;
-        }
-        in.clear();
-        in.open(candidate, std::ios::binary);
-        if (!in) continue;  // renamed away between footer load and open
-        path = candidate;
-        opened_file = true;
-        break;
-      }
-    }
-    if (!opened_file) throw WireError("segment store: " + err);
-
-    std::uint64_t start = kSegmentHeaderBytes;
-    if (s.t_min < t0_ && footer.index_count > 0) {
-      // Sparse-index probe: load only from the last entry at or before t0.
-      std::vector<std::pair<double, std::uint64_t>> index;
-      if (!load_segment_index(path, footer, index, &err)) {
-        throw WireError("segment store: " + err);
-      }
-      const auto pit = std::upper_bound(
-          index.begin(), index.end(), t0_,
-          [](double t, const std::pair<double, std::uint64_t>& e) {
-            return t < e.first;
-          });
-      if (pit != index.begin()) start = (*std::prev(pit)).second;
-    }
-
-    Window w;
-    w.bytes = take_buffer();
-    w.base = start;
-    // start <= payload_end: it is either the header size (footer geometry
-    // enforces payload_end >= that) or a validated sparse-index offset.
-    w.bytes.resize(checked::narrow<std::size_t, WireError>(
-        footer.payload_end - start, "segment window size"));
-    in.seekg(static_cast<std::streamoff>(start));
-    if (!read_exact(in, w.bytes.data(), w.bytes.size())) {
-      throw WireError("segment store: short payload read in " + path.string());
-    }
-    return emit(std::move(w));
-  }
-
-  /// Load the active segment's readable prefix; false when stopping.
-  [[nodiscard]] bool load_active(const SegmentInfo& s, double sealed_t_max) {
-    const auto path = reader_.directory() / s.name;
-    std::error_code ec;
-    const auto size = fs::file_size(path, ec);
-    if (ec || size <= kSegmentHeaderBytes) return true;  // nothing readable
-    std::uint64_t sealed_end = 0;
-    if (!probe_presumed_active(path, sealed_t_max, &sealed_end)) {
-      return true;  // a racing compaction reused the index: merged old data
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return true;  // writer may have just sealed+rotated it
-    std::array<std::uint8_t, kSegmentHeaderBytes> header;
-    Window w;
-    // sealed_end != 0: sealed after our snapshot — read exactly its payload
-    // with sealed semantics (a decode failure is loss, not a torn tail).
-    w.active = sealed_end == 0;
-    if (!read_exact(in, header.data(), header.size()) ||
-        get_raw<std::uint32_t>(header.data()) != kSegmentMagic) {
-      // Header bytes still in the writer's buffer: nothing readable yet.
-      w.header_torn = true;
-      w.active = true;
-      return emit(std::move(w));
-    }
-    const std::uint64_t end = sealed_end != 0 ? sealed_end : size;
-    w.bytes = take_buffer();
-    w.base = kSegmentHeaderBytes;
-    w.bytes.resize(checked::narrow<std::size_t, WireError>(
-        end - kSegmentHeaderBytes, "active window size"));
-    // The file may be growing under us; the statted size is our bounded
-    // snapshot of the tail, exactly like a cursor's.
-    in.read(reinterpret_cast<char*>(w.bytes.data()),
-            static_cast<std::streamsize>(w.bytes.size()));
-    w.bytes.resize(checked::narrow<std::size_t, WireError>(
-        in.gcount(), "active window read size"));
-    return emit(std::move(w));
-  }
-
-  const SegmentStoreReader& reader_;
-  const double t0_;
-  const double t1_;
-  mutable common::Mutex mu_;
+  SegmentWalker walker_;  ///< loader thread only, after construction
+  common::Mutex mu_;
   common::CondVar cv_;
-  std::optional<Window> ready_ DR_GUARDED_BY(mu_);
+  std::optional<SegmentWindow> ready_ DR_GUARDED_BY(mu_);
   std::vector<std::uint8_t> spare_ DR_GUARDED_BY(mu_);
   std::exception_ptr error_ DR_GUARDED_BY(mu_);
   bool done_ DR_GUARDED_BY(mu_) = false;
@@ -1483,7 +1246,127 @@ class SegmentPrefetcher {
   std::thread thread_;  ///< started in ctor, joined in dtor only
 };
 
+/// SegmentStoreSource's replay cursor: seek() with the provider its
+/// ReplayOptions::prefetch picks.
+struct CursorAccess {
+  static SegmentStoreReader::Cursor open(SegmentStoreReader& reader, double t0,
+                                         double t1, bool prefetch) {
+    return {&reader, t0, t1, prefetch};
+  }
+};
+
 }  // namespace detail
+
+SegmentStoreReader::Cursor SegmentStoreReader::seek(double t0, double t1) {
+  return Cursor(this, t0, t1, false);
+}
+
+SegmentStoreReader::Cursor::Cursor(SegmentStoreReader* store, double t0,
+                                   double t1, bool prefetch)
+    : store_(store), t0_(t0), t1_(t1) {
+  if (prefetch) {
+    provider_ = std::make_unique<detail::PrefetchingWindows>(
+        store->dir_, store->sealed_, store->active_name_, t0, t1);
+  } else {
+    provider_ = std::make_unique<detail::SegmentWalker>(
+        store->dir_, store->sealed_, store->active_name_, t0, t1);
+  }
+}
+
+SegmentStoreReader::Cursor::Cursor(Cursor&&) noexcept = default;
+SegmentStoreReader::Cursor& SegmentStoreReader::Cursor::operator=(
+    Cursor&&) noexcept = default;
+SegmentStoreReader::Cursor::~Cursor() = default;  // joins a prefetcher
+
+bool SegmentStoreReader::Cursor::fail_torn() {
+  torn_ = true;
+  lost_bytes_ = window_.bytes.size() - pos_;
+  done_ = true;
+  return false;
+}
+
+// Locate the next in-range envelope of the current window, pulling windows
+// from the provider as they drain, without consuming it: pos_ stays at the
+// envelope until decode_next() commits, so a decode failure reports
+// lost_bytes_ from the right spot. False at end of range or torn tail
+// (done_ set); throws on sealed-segment damage.
+bool SegmentStoreReader::Cursor::fetch_frame(const std::uint8_t*& frame,
+                                             std::uint32_t& len, double& t) {
+  if (done_) return false;
+  for (;;) {
+    if (!have_window_) {
+      if (!provider_->next(window_)) {
+        done_ = true;
+        return false;
+      }
+      ++store_->opened_;
+      have_window_ = true;
+      pos_ = 0;
+      if (window_.header_torn) return fail_torn();
+    }
+    const std::size_t remaining = window_.bytes.size() - pos_;
+    if (remaining < kEnvelopeHeaderBytes) {
+      if (window_.active && remaining > 0) return fail_torn();
+      have_window_ = false;
+      continue;
+    }
+    const std::uint8_t* env = window_.bytes.data() + pos_;
+    len = get_raw<std::uint32_t>(env);
+    t = get_raw<double>(env + 4);
+    if (len == 0 || len > kMaxSegmentFrameBytes ||
+        len > remaining - kEnvelopeHeaderBytes) {
+      // Mid-envelope snapshot of the writer (or its in-flight tail after a
+      // concurrent seal): everything from here on is not yet readable.
+      if (window_.active) return fail_torn();
+      throw WireError("segment store: corrupt envelope at byte " +
+                      std::to_string(window_.base + pos_));
+    }
+    ++scanned_;
+    if (t >= t1_) {  // time is monotone: the range is exhausted
+      done_ = true;
+      return false;
+    }
+    if (t < t0_) {  // skip without decoding
+      pos_ += kEnvelopeHeaderBytes + len;
+      continue;
+    }
+    frame = env + kEnvelopeHeaderBytes;
+    return true;
+  }
+}
+
+template <typename Decode>
+bool SegmentStoreReader::Cursor::decode_next(const Decode& decode) {
+  const std::uint8_t* frame = nullptr;
+  std::uint32_t len = 0;
+  double t = 0.0;
+  if (!fetch_frame(frame, len, t)) return false;
+  try {
+    std::size_t consumed = 0;
+    decode(frame, len, consumed);
+    if (consumed != len) throw WireError("trailing bytes in envelope");
+  } catch (const WireError&) {
+    if (window_.active) return fail_torn();
+    throw;
+  }
+  pos_ += kEnvelopeHeaderBytes + len;
+  time_ = t;
+  return true;
+}
+
+bool SegmentStoreReader::Cursor::next(Record& out) {
+  return decode_next([&](const std::uint8_t* frame, std::size_t len,
+                         std::size_t& consumed) {
+    out = decode_record(frame, len, consumed);
+  });
+}
+
+bool SegmentStoreReader::Cursor::next_view(RecordView& out) {
+  return decode_next([&](const std::uint8_t* frame, std::size_t len,
+                         std::size_t& consumed) {
+    out = decode_record_view(frame, len, consumed, scratch_);
+  });
+}
 
 // ---------------------------------------------------------------------------
 // SegmentStoreSource
@@ -1498,15 +1381,10 @@ SegmentStoreSource::SegmentStoreSource(const std::filesystem::path& dir,
                                        ReplayOptions options)
     : RecordSampleSource(options.subtype),
       reader_(std::make_unique<SegmentStoreReader>(dir)),
-      cursor_(reader_->seek(options.t0, options.t1)),
-      options_(options) {
-  if (options_.prefetch) {
-    prefetcher_ = std::make_unique<detail::SegmentPrefetcher>(
-        *reader_, options_.t0, options_.t1);
-  }
-}
+      cursor_(detail::CursorAccess::open(*reader_, options.t0, options.t1,
+                                         options.prefetch)) {}
 
-SegmentStoreSource::~SegmentStoreSource() = default;  // joins the prefetcher
+SegmentStoreSource::~SegmentStoreSource() = default;
 
 RecordSampleSource::Next SegmentStoreSource::next_record(Record& rec) {
   try {
@@ -1517,24 +1395,9 @@ RecordSampleSource::Next SegmentStoreSource::next_record(Record& rec) {
   }
 }
 
-bool SegmentStoreSource::classify_view(const RecordView& view,
-                                       FloatVec& pending) {
-  ++records_in_;
-  if (view.type == RecordType::kOpenScope && view.scope_type == kScopeClip) {
-    rate_ = view.attr_double(kAttrSampleRate, rate_);
-  } else if (view.type == RecordType::kData && view.subtype == subtype() &&
-             view.is_float()) {
-    if (rate_ == 0.0) rate_ = view.attr_double(kAttrSampleRate, 0.0);
-    pending.assign(view.floats.begin(), view.floats.end());
-    return true;
-  }
-  return false;
-}
-
 RecordSampleSource::Next SegmentStoreSource::next_audio(FloatVec& pending) {
-  if (prefetcher_ != nullptr) return next_audio_prefetched(pending);
-  // Synchronous path: the same scan through the cursor's allocation-free
-  // view — pending reuses its capacity, the cursor its buffers.
+  // The base scan over the cursor's allocation-free view: pending reuses its
+  // capacity, the cursor its window and decode scratch.
   RecordView view;
   for (;;) {
     try {
@@ -1544,61 +1407,15 @@ RecordSampleSource::Next SegmentStoreSource::next_audio(FloatVec& pending) {
     } catch (const WireError&) {
       return Next::kLost;  // damaged sealed segment; verify() pinpoints it
     }
-    if (classify_view(view, pending)) return Next::kRecord;
-  }
-}
-
-RecordSampleSource::Next SegmentStoreSource::next_audio_prefetched(
-    FloatVec& pending) {
-  for (;;) {
-    if (!have_window_) {
-      detail::SegmentPrefetcher::Window w;
-      try {
-        if (!prefetcher_->next(w)) return Next::kEnd;
-      } catch (const WireError&) {
-        return Next::kLost;  // damaged sealed segment; verify() pinpoints it
-      }
-      ++reader_->opened_;  // same accounting as a cursor opening the file
-      if (w.header_torn) return Next::kLost;
-      window_ = std::move(w.bytes);
-      window_base_ = w.base;
-      window_pos_ = 0;
-      window_active_ = w.active;
-      have_window_ = true;
+    ++records_in_;
+    if (view.type == RecordType::kOpenScope && view.scope_type == kScopeClip) {
+      rate_ = view.attr_double(kAttrSampleRate, rate_);
+    } else if (view.type == RecordType::kData && view.subtype == subtype() &&
+               view.is_float()) {
+      if (rate_ == 0.0) rate_ = view.attr_double(kAttrSampleRate, 0.0);
+      pending.assign(view.floats.begin(), view.floats.end());
+      return Next::kRecord;
     }
-    // Parse the next envelope of the in-memory window — same skip/torn
-    // semantics as a cursor over the file itself.
-    const std::size_t remaining = window_.size() - window_pos_;
-    if (remaining < kEnvelopeHeaderBytes) {
-      if (window_active_ && remaining > 0) return Next::kLost;  // torn tail
-      prefetcher_->recycle(std::move(window_));
-      window_.clear();
-      have_window_ = false;
-      continue;
-    }
-    const std::uint8_t* env = window_.data() + window_pos_;
-    const auto len = get_raw<std::uint32_t>(env);
-    const auto t = get_raw<double>(env + 4);
-    if (len == 0 || len > kMaxSegmentFrameBytes ||
-        window_pos_ + kEnvelopeHeaderBytes + len > window_.size()) {
-      return Next::kLost;  // torn active tail / damaged sealed payload
-    }
-    if (t >= options_.t1) return Next::kEnd;  // time is monotone
-    if (t < options_.t0) {  // skip without decoding
-      window_pos_ += kEnvelopeHeaderBytes + len;
-      continue;
-    }
-    RecordView view;
-    try {
-      std::size_t consumed = 0;
-      view = decode_record_view(env + kEnvelopeHeaderBytes, len, consumed,
-                                scratch_);
-      if (consumed != len) return Next::kLost;
-    } catch (const WireError&) {
-      return Next::kLost;
-    }
-    window_pos_ += kEnvelopeHeaderBytes + len;
-    if (classify_view(view, pending)) return Next::kRecord;
   }
 }
 

@@ -1,7 +1,6 @@
 // Archive-scale segment store for record streams.
 //
-// The flat RecordLog is right for one clip or one session's readout; an
-// archive of months of hydrophone audio needs structure. SegmentedRecordLog
+// An archive of months of hydrophone audio needs structure. SegmentedRecordLog
 // rotates a record stream (each record stamped with a stream time) into
 // immutable *sealed* segments plus one append-only *active* segment:
 //
@@ -27,10 +26,14 @@
 // Guarantees:
 //   - seek(t0, t1) is O(log segments) manifest search + one index probe +
 //     a bounded scan; only segments overlapping [t0, t1) are ever opened.
+//   - A cursor reads one segment payload window at a time (from the index
+//     probe to the payload end) and decodes straight from it, so it holds
+//     at most one window in memory — two when SegmentStoreSource prefetches
+//     the next one on its loader thread.
 //   - Readers are safe concurrently with the writer's append/seal: they
 //     see the sealed list through the atomically-renamed MANIFEST plus a
 //     bounded snapshot of the active tail (complete frames only; in-flight
-//     bytes surface as a torn tail, exactly like a flat log mid-write).
+//     bytes surface as a torn tail).
 //     Cursors also retry a segment's temp name, so an in-flight compaction
 //     rename cannot fail them spuriously. retire_before()/compact() DELETE
 //     files, however: a cursor opened before such a call may fail once a
@@ -44,7 +47,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -57,7 +59,18 @@
 #include "river/wire.hpp"
 
 namespace dynriver::river::detail {
-class SegmentPrefetcher;
+
+/// One segment's payload bytes, as the read-side segment walk yields them.
+struct SegmentWindow {
+  std::vector<std::uint8_t> bytes;  ///< file contents [base, base + size)
+  std::uint64_t base = 0;           ///< file offset of bytes[0]
+  bool active = false;              ///< unsealed tail: damage reads as torn
+  bool header_torn = false;         ///< active header unreadable: all torn
+};
+
+class SegmentWindowProvider;  // inline or prefetching (segment_store.cpp)
+struct CursorAccess;          // builds a cursor on a chosen provider
+
 }  // namespace dynriver::river::detail
 
 namespace dynriver::river {
@@ -144,7 +157,12 @@ class SegmentedRecordLog {
   void append(const Record& rec, double t);
 
   /// Flush + fsync the active segment: everything appended so far survives
-  /// process death (readers may then tail it torn-free).
+  /// process death (readers may then tail it torn-free). Throws when the
+  /// bytes could not be made durable (full disk, I/O error).
+  ///
+  /// Any failed write, sync or seal of the active segment stops the log as
+  /// if closed: reopen the directory, and recovery keeps everything the
+  /// last successful sync() covered.
   void sync();
 
   /// Seal the active segment now (no-op when it is empty): write its index
@@ -164,6 +182,7 @@ class SegmentedRecordLog {
   /// re-encoded). Seals the active segment first so the merged segment
   /// never takes the live file's name. At most `max_run` segments join one
   /// merged segment. Returns the net number of segments eliminated.
+  /// Requires an open log.
   std::size_t compact(std::uint64_t min_bytes,
                       std::size_t max_run = std::numeric_limits<std::size_t>::max());
 
@@ -213,6 +232,8 @@ class SegmentedRecordLog {
   };
 
  private:
+  /// A segment being written (the active one, a recovered prefix, or a
+  /// compaction's merge target): its running index, CRC and span.
   struct ActiveSegment {
     std::FILE* file = nullptr;
     std::uint64_t index = 0;  ///< numeric suffix of the file name
@@ -223,6 +244,13 @@ class SegmentedRecordLog {
     std::uint32_t crc = 0;
     std::uint64_t last_index_bytes = 0;
     std::vector<std::pair<double, std::uint64_t>> index_entries;
+
+    /// Account one envelope appended at the payload end.
+    void add(const std::uint8_t* env, const std::uint8_t* frame,
+             std::uint32_t len, double t, std::uint64_t index_every);
+    /// The sparse index plus footer that seal this segment.
+    [[nodiscard]] std::vector<std::uint8_t> tail() const;
+    [[nodiscard]] SegmentInfo info(bool sealed) const;
   };
 
   void open_active() DR_REQUIRES(mu_);
@@ -231,6 +259,7 @@ class SegmentedRecordLog {
   // _locked variants hold mu_ (public wrappers acquire it); they exist so
   // internal callers — compact seals first, close seals — never re-lock.
   void seal_active_locked() DR_REQUIRES(mu_);
+  void abandon_active_locked() DR_REQUIRES(mu_);
   std::size_t retire_before_locked(double t, std::uint64_t* bytes_dropped)
       DR_REQUIRES(mu_);
   std::size_t compact_locked(std::uint64_t min_bytes, std::size_t max_run,
@@ -270,13 +299,17 @@ class SegmentStoreReader {
   /// Streaming cursor over one seek() range.
   class Cursor {
    public:
+    Cursor(Cursor&&) noexcept;
+    Cursor& operator=(Cursor&&) noexcept;
+    ~Cursor();
+
     /// Next record with stream time in [t0, t1); false at end of range.
     /// A torn active tail ends the cursor cleanly with torn() set; sealed
     /// segment damage throws WireError (verify() pinpoints it).
     [[nodiscard]] bool next(Record& out);
 
-    /// Allocation-free variant: `out` borrows the cursor's internal frame
-    /// buffer and decode scratch, both valid only until the next call.
+    /// Allocation-free variant: `out` borrows the cursor's current segment
+    /// window and decode scratch, both valid only until the next call.
     /// Same end-of-range / torn / throw behavior as next().
     [[nodiscard]] bool next_view(RecordView& out);
 
@@ -290,44 +323,39 @@ class SegmentStoreReader {
 
    private:
     friend class SegmentStoreReader;
-    Cursor(SegmentStoreReader* store, double t0, double t1)
-        : store_(store), t0_(t0), t1_(t1) {}
-    bool open_next_segment();
-    bool fetch_frame(std::uint32_t& len_out);
-    void commit_frame(std::uint32_t len);
+    friend struct detail::CursorAccess;
+    Cursor(SegmentStoreReader* store, double t0, double t1, bool prefetch);
+    [[nodiscard]] bool fetch_frame(const std::uint8_t*& frame,
+                                   std::uint32_t& len, double& t);
+    template <typename Decode>
+    [[nodiscard]] bool decode_next(const Decode& decode);
     [[nodiscard]] bool fail_torn();
 
     SegmentStoreReader* store_;
     double t0_;
     double t1_;
-    bool positioned_ = false;
-    std::vector<std::uint8_t> frame_buf_;
-    WireScratch scratch_;
-    std::size_t seg_i_ = 0;       ///< next sealed segment to consider
-    bool tried_active_ = false;
-    bool in_active_ = false;
+    std::unique_ptr<detail::SegmentWindowProvider> provider_;
+    detail::SegmentWindow window_;
+    std::size_t pos_ = 0;  ///< parse offset into window_.bytes
+    bool have_window_ = false;
     bool done_ = false;
     bool torn_ = false;
-    std::ifstream file_;
-    std::uint64_t pos_ = 0;
-    std::uint64_t end_ = 0;       ///< payload end of the current segment
+    WireScratch scratch_;
     double time_ = 0.0;
-    double pending_t_ = 0.0;      ///< time of the fetched-but-uncommitted frame
     std::size_t lost_bytes_ = 0;
     std::size_t scanned_ = 0;
   };
 
   /// Cursor over records with stream time in [t0, t1). O(log n) over the
   /// manifest, one sparse-index probe in the first overlapping segment,
-  /// then a bounded forward scan. The cursor must not outlive the reader.
+  /// then a bounded forward scan. The cursor reads each segment window on
+  /// the calling thread and must not outlive the reader.
   [[nodiscard]] Cursor seek(double t0,
                             double t1 = std::numeric_limits<double>::infinity());
 
   [[nodiscard]] const std::filesystem::path& directory() const { return dir_; }
 
  private:
-  friend class SegmentStoreSource;  // prefetched replay keeps opened_ honest
-
   std::filesystem::path dir_;
   std::vector<SegmentInfo> sealed_;
   std::string active_name_;  ///< empty when no active segment exists
@@ -339,10 +367,11 @@ struct ReplayOptions {
   double t0 = 0.0;
   double t1 = std::numeric_limits<double>::infinity();
   std::uint32_t subtype = kSubtypeAudio;
-  /// Overlap disk reads with decode: a background thread loads segment
-  /// payload windows one segment ahead of the consumer (double-buffered,
-  /// joined cleanly however early the replay stops). Decoding then runs
-  /// in-memory and allocation-free per frame.
+  /// Overlap disk reads with decode: the replay cursor gets its segment
+  /// windows from a background thread that loads one segment ahead of the
+  /// consumer (double-buffered, joined cleanly however early the replay
+  /// stops) instead of reading each one when it is reached. Either way the
+  /// same walk and parser run, allocation-free per frame.
   bool prefetch = true;
 };
 
@@ -363,22 +392,9 @@ class SegmentStoreSource final : public RecordSampleSource {
  private:
   [[nodiscard]] Next next_record(Record& rec) override;
   [[nodiscard]] Next next_audio(FloatVec& pending) override;
-  [[nodiscard]] Next next_audio_prefetched(FloatVec& pending);
-  /// Shared skip/match logic of both replay paths: bumps records_in_,
-  /// learns the rate, fills `pending` (capacity reused) on an audio match.
-  [[nodiscard]] bool classify_view(const RecordView& view, FloatVec& pending);
 
   std::unique_ptr<SegmentStoreReader> reader_;
   SegmentStoreReader::Cursor cursor_;
-  ReplayOptions options_;
-  // Prefetched-path state: the current in-memory window and parse offset.
-  std::unique_ptr<detail::SegmentPrefetcher> prefetcher_;
-  std::vector<std::uint8_t> window_;
-  std::uint64_t window_base_ = 0;  ///< file offset of window_[0]
-  std::size_t window_pos_ = 0;
-  bool window_active_ = false;     ///< window came from the active segment
-  bool have_window_ = false;
-  WireScratch scratch_;
 };
 
 /// Streams raw audio into a SegmentedRecordLog as self-describing records:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -10,6 +11,9 @@
 #include <random>
 
 #include <unistd.h>
+
+#include "river/segment_store.hpp"
+#include "river/wire.hpp"
 
 namespace dynriver::testsupport {
 
@@ -111,6 +115,26 @@ void sweep_file_truncations(const fs::path& path,
     write_file_bytes(path, guard.bytes().data(), len);
     check(len);
   }
+}
+
+void write_active_segment(
+    const fs::path& path,
+    const std::vector<std::pair<double, river::Record>>& records,
+    const std::vector<std::uint8_t>& tail) {
+  std::vector<std::uint8_t> bytes(river::kSegmentHeaderBytes);
+  std::memcpy(bytes.data(), &river::kSegmentMagic, 4);
+  std::memcpy(bytes.data() + 4, &river::kSegmentVersion, 2);
+  for (const auto& [t, rec] : records) {
+    const auto frame = river::encode_record(rec);
+    const auto len = static_cast<std::uint32_t>(frame.size());
+    std::uint8_t env[river::kEnvelopeHeaderBytes];
+    std::memcpy(env, &len, 4);
+    std::memcpy(env + 4, &t, 8);
+    bytes.insert(bytes.end(), env, env + sizeof(env));
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+  write_file_bytes(path, bytes);
 }
 
 namespace {

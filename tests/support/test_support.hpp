@@ -12,8 +12,10 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "river/record.hpp"
 #include "synth/station.hpp"
 
 namespace dynriver::testsupport {
@@ -63,8 +65,8 @@ class TempDirTest : public ::testing::Test {
 //
 // Shared sweeps for the "hostile bytes" suites: every decoder that reads
 // untrusted input gets the same exhaustive single-bit-flip and
-// truncate-at-every-byte treatment (segment files, flat record logs, wire
-// frames). Promoted from per-suite copies in test_river_segment_store.
+// truncate-at-every-byte treatment (segment files, wire frames). Promoted
+// from per-suite copies in test_river_segment_store.
 
 /// Whole file as bytes; ADD_FAILUREs (and returns empty) if it cannot open.
 std::vector<std::uint8_t> read_file_bytes(const std::filesystem::path& path);
@@ -98,6 +100,16 @@ void sweep_file_bit_flips(const std::filesystem::path& path,
 void sweep_file_truncations(const std::filesystem::path& path,
                             const std::function<void(std::size_t)>& check,
                             std::size_t stride = 1);
+
+/// Write the crash image of a segment-store writer that died before sealing:
+/// an unsealed *active* segment file holding the segment header and one
+/// envelope per (stream time, record), built from the format constants (the
+/// in-process writer always seals on close, so it cannot produce this).
+/// `tail` is appended raw after the envelopes, e.g. a torn envelope.
+void write_active_segment(
+    const std::filesystem::path& path,
+    const std::vector<std::pair<double, river::Record>>& records,
+    const std::vector<std::uint8_t>& tail = {});
 
 // ---------------------------------------------------------------------------
 // Tolerance comparators

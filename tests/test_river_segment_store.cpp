@@ -1,13 +1,17 @@
 // Segment store (river/segment_store.hpp): rotation, sealing, manifest,
 // O(log n) seek with sparse-index probes, CRC32C damage detection,
 // crash recovery, retention, compaction — and replay bit-identity: the
-// same ensembles whether extraction runs live, from a flat record log, or
-// from a segment store (standalone or through the SessionScheduler).
+// same ensembles whether extraction runs live or from a segment store
+// (standalone or through the SessionScheduler). Every read-path property
+// runs through all three readers: seek()'s cursor and SegmentStoreSource
+// with prefetch on and off.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -23,7 +27,6 @@
 #include "core/session_scheduler.hpp"
 #include "core/stream_session.hpp"
 #include "river/record.hpp"
-#include "river/record_log.hpp"
 #include "river/sample_io.hpp"
 #include "river/segment_store.hpp"
 #include "river/wire.hpp"
@@ -118,6 +121,81 @@ class SegmentStoreTest : public testsupport::TempDirTest {
  protected:
   [[nodiscard]] fs::path store_dir() const { return temp_file("store"); }
 };
+
+/// The three ways to read a store: seek()'s cursor, and the replay source
+/// with each window provider.
+enum class StoreReader { kSeek, kPrefetched, kInline };
+constexpr StoreReader kEveryReader[] = {
+    StoreReader::kSeek, StoreReader::kPrefetched, StoreReader::kInline};
+
+const char* reader_name(StoreReader how) {
+  switch (how) {
+    case StoreReader::kSeek:
+      return "Seek";
+    case StoreReader::kPrefetched:
+      return "Prefetched";
+    case StoreReader::kInline:
+      return "Inline";
+  }
+  return "?";
+}
+
+/// What one reader got out of a store range.
+struct ReadBack {
+  std::vector<float> samples;  ///< audio payloads, in order
+  bool clean = true;           ///< false: torn tail or lost (damaged) data
+  bool threw = false;          ///< the cursor threw WireError
+  std::size_t segments_opened = 0;
+};
+
+ReadBack read_back(const fs::path& dir, StoreReader how, double t0 = 0.0,
+                   double t1 = kInf) {
+  ReadBack out;
+  if (how == StoreReader::kSeek) {
+    river::SegmentStoreReader reader(dir);
+    auto cursor = reader.seek(t0, t1);
+    Record rec;
+    try {
+      while (cursor.next(rec)) {
+        if (rec.subtype == river::kSubtypeAudio && rec.is_float()) {
+          out.samples.insert(out.samples.end(), rec.floats().begin(),
+                             rec.floats().end());
+        }
+      }
+      out.clean = !cursor.torn();
+    } catch (const river::WireError&) {
+      out.clean = false;
+      out.threw = true;
+    }
+    out.segments_opened = reader.segments_opened();
+  } else {
+    river::ReplayOptions options;
+    options.t0 = t0;
+    options.t1 = t1;
+    options.prefetch = how == StoreReader::kPrefetched;
+    river::SegmentStoreSource source(dir, options);
+    out.samples = drain(source, 256);
+    out.clean = source.clean();
+    out.segments_opened = source.reader().segments_opened();
+  }
+  return out;
+}
+
+/// The samples audio_record(seq, n) carries, for each seq in order.
+std::vector<float> samples_of(const std::vector<std::uint64_t>& seqs,
+                              std::size_t n) {
+  std::vector<float> out;
+  for (const auto seq : seqs) {
+    out.resize(out.size() + n, static_cast<float>(seq));
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> seq_range(std::uint64_t first, std::uint64_t count) {
+  std::vector<std::uint64_t> out(count);
+  for (std::uint64_t i = 0; i < count; ++i) out[i] = first + i;
+  return out;
+}
 
 }  // namespace
 
@@ -285,6 +363,14 @@ TEST_F(SegmentStoreTest, SeekTouchesOnlyOverlappingSegments) {
   Record rec;
   EXPECT_FALSE(beyond.next(rec));
   EXPECT_EQ(reader.segments_opened(), 3U);
+
+  // The replay source walks the same segments with either window provider.
+  for (const auto how : {StoreReader::kPrefetched, StoreReader::kInline}) {
+    const auto back = read_back(dir, how, 3.05, 5.5);
+    EXPECT_EQ(back.samples.size(), (9U + 10U + 5U) * 16U) << reader_name(how);
+    EXPECT_TRUE(back.clean) << reader_name(how);
+    EXPECT_EQ(back.segments_opened, 3U) << reader_name(how);
+  }
 }
 
 TEST_F(SegmentStoreTest, SparseIndexBoundsTheScanWithinASegment) {
@@ -372,37 +458,22 @@ TEST_F(SegmentStoreTest, DamagedSealedSegmentSurfacesAsLostNotCrash) {
 
 TEST_F(SegmentStoreTest, TornActiveSegmentRecoversValidPrefixAndContinues) {
   const auto dir = store_dir();
-  // Fabricate the aftermath of a crash mid-append: an unsealed active
-  // segment holding 3 complete envelopes and a torn fourth. (The writer
-  // cannot produce this in-process — its destructor always seals — so the
-  // file is built from the format constants.)
+  // The aftermath of a crash mid-append: an unsealed active segment holding
+  // 3 complete envelopes and a torn fourth.
   fs::create_directories(dir);
   std::vector<Record> survivors;
-  {
-    std::ofstream out(dir / "seg-000000.drs", std::ios::binary);
-    std::uint8_t header[river::kSegmentHeaderBytes] = {};
-    std::memcpy(header, &river::kSegmentMagic, 4);
-    std::memcpy(header + 4, &river::kSegmentVersion, 2);
-    out.write(reinterpret_cast<const char*>(header), sizeof(header));
-    for (std::uint64_t i = 0; i < 3; ++i) {
-      const Record rec = audio_record(i, 40);
-      survivors.push_back(rec);
-      const auto frame = river::encode_record(rec);
-      const auto len = static_cast<std::uint32_t>(frame.size());
-      const double t = static_cast<double>(i);
-      out.write(reinterpret_cast<const char*>(&len), 4);
-      out.write(reinterpret_cast<const char*>(&t), 8);
-      out.write(reinterpret_cast<const char*>(frame.data()),
-                static_cast<std::streamsize>(frame.size()));
-    }
-    // Torn tail: an envelope header promising 200 bytes, then only garbage.
-    const std::uint32_t len = 200;
-    const double t = 3.0;
-    out.write(reinterpret_cast<const char*>(&len), 4);
-    out.write(reinterpret_cast<const char*>(&t), 8);
-    const std::vector<char> garbage(17, '\x42');
-    out.write(garbage.data(), static_cast<std::streamsize>(garbage.size()));
+  std::vector<std::pair<double, Record>> envelopes;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    survivors.push_back(audio_record(i, 40));
+    envelopes.emplace_back(static_cast<double>(i), survivors.back());
   }
+  // Torn tail: an envelope header promising 200 bytes, then only garbage.
+  std::vector<std::uint8_t> torn(river::kEnvelopeHeaderBytes + 17, 0x42);
+  const std::uint32_t len = 200;
+  const double t = 3.0;
+  std::memcpy(torn.data(), &len, 4);
+  std::memcpy(torn.data() + 4, &t, 8);
+  testsupport::write_active_segment(dir / "seg-000000.drs", envelopes, torn);
 
   river::SegmentedRecordLog log(dir);
   EXPECT_EQ(log.recovered_records(), 3U);
@@ -423,6 +494,190 @@ TEST_F(SegmentStoreTest, TornActiveSegmentRecoversValidPrefixAndContinues) {
     EXPECT_EQ(got[i], survivors[i]) << "recovered record " << i;
   }
   EXPECT_EQ(got[3].sequence, 100U);
+}
+
+TEST_F(SegmentStoreTest, RecoveryStopsAtANonFiniteStreamTime) {
+  // Appends only take finite times, so a torn active segment whose envelope
+  // claims +inf is damage: sealing it would publish a manifest time every
+  // later open rejects.
+  const auto dir = store_dir();
+  fs::create_directories(dir);
+  testsupport::write_active_segment(
+      dir / "seg-000000.drs",
+      {{0.0, audio_record(0, 8)}, {kInf, audio_record(1, 8)}});
+  {
+    river::SegmentedRecordLog log(dir);
+    EXPECT_EQ(log.recovered_records(), 1U);
+  }
+  river::SegmentStoreReader reader(dir);
+  EXPECT_TRUE(reader.verify());
+  auto cursor = reader.seek(0.0);
+  EXPECT_EQ(drain_cursor(cursor).size(), 1U);
+}
+
+TEST_F(SegmentStoreTest, ActiveSegmentTruncatedAtEveryByteReadsTheValidPrefix) {
+  // Cutting the active segment anywhere is a torn tail, never damage: every
+  // reader returns exactly the complete envelopes before the cut, all agree
+  // on clean vs torn, none throws — and crash recovery keeps that prefix.
+  const auto dir = store_dir();
+  fs::create_directories(dir);
+  const auto path = dir / "seg-000000.drs";
+  constexpr std::size_t kSamples = 24;
+  std::vector<std::pair<double, Record>> envelopes;
+  std::vector<std::uint64_t> envelope_ends;  // file offset after each one
+  std::uint64_t end = river::kSegmentHeaderBytes;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    envelopes.emplace_back(static_cast<double>(i), audio_record(i, kSamples));
+    end += river::kEnvelopeHeaderBytes +
+           river::encode_record(envelopes.back().second).size();
+    envelope_ends.push_back(end);
+  }
+  testsupport::write_active_segment(path, envelopes);
+  ASSERT_EQ(fs::file_size(path), envelope_ends.back());
+
+  const auto recovered_dir = temp_file("recovered");
+  river::SegmentStoreOptions no_fsync;
+  no_fsync.sync_on_seal = false;
+  testsupport::sweep_file_truncations(path, [&](std::size_t len) {
+    const auto complete = static_cast<std::uint64_t>(
+        std::count_if(envelope_ends.begin(), envelope_ends.end(),
+                      [&](std::uint64_t e) { return e <= len; }));
+    const bool torn = len > river::kSegmentHeaderBytes &&
+                      std::find(envelope_ends.begin(), envelope_ends.end(),
+                                len) == envelope_ends.end();
+    const auto want = samples_of(seq_range(0, complete), kSamples);
+    for (const auto how : kEveryReader) {
+      const auto back = read_back(dir, how);
+      EXPECT_FALSE(back.threw) << reader_name(how) << " cut at byte " << len;
+      EXPECT_EQ(back.samples, want) << reader_name(how) << " cut at byte "
+                                    << len;
+      EXPECT_EQ(back.clean, !torn) << reader_name(how) << " cut at byte "
+                                   << len;
+    }
+    fs::remove_all(recovered_dir);
+    fs::copy(dir, recovered_dir, fs::copy_options::recursive);
+    river::SegmentedRecordLog log(recovered_dir, no_fsync);
+    EXPECT_EQ(log.recovered_records(), complete) << "cut at byte " << len;
+  });
+}
+
+TEST_F(SegmentStoreTest, ActiveSegmentSingleBitFlipReadsTheSameEverywhere) {
+  // A flip anywhere in the active segment may cost records or end the read
+  // torn, but all three readers must see exactly the same thing, and none
+  // may crash or throw: damage in the active tail is never an error. Crash
+  // recovery keeps a prefix of the records and leaves a store that verifies.
+  const auto dir = store_dir();
+  fs::create_directories(dir);
+  const auto path = dir / "seg-000000.drs";
+  std::vector<std::pair<double, Record>> envelopes;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    envelopes.emplace_back(static_cast<double>(i), audio_record(i, 24));
+  }
+  testsupport::write_active_segment(path, envelopes);
+
+  const auto recovered_dir = temp_file("recovered");
+  river::SegmentStoreOptions no_fsync;
+  no_fsync.sync_on_seal = false;
+  testsupport::sweep_file_bit_flips(path, [&](std::size_t at) {
+    const auto want = read_back(dir, StoreReader::kSeek);
+    EXPECT_FALSE(want.threw) << "flip at byte " << at;
+    for (const auto how : {StoreReader::kPrefetched, StoreReader::kInline}) {
+      const auto got = read_back(dir, how);
+      EXPECT_EQ(got.samples, want.samples) << reader_name(how)
+                                           << " flip at byte " << at;
+      EXPECT_EQ(got.clean, want.clean) << reader_name(how) << " flip at byte "
+                                       << at;
+    }
+
+    fs::remove_all(recovered_dir);
+    fs::copy(dir, recovered_dir, fs::copy_options::recursive);
+    std::size_t recovered = 0;
+    {
+      river::SegmentedRecordLog log(recovered_dir, no_fsync);
+      recovered = log.recovered_records();
+    }
+    river::SegmentStoreReader reader(recovered_dir);
+    EXPECT_TRUE(reader.verify()) << "flip at byte " << at;
+    auto cursor = reader.seek(-kInf);
+    const auto got = drain_cursor(cursor);
+    ASSERT_EQ(got.size(), recovered) << "flip at byte " << at;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], envelopes[i].second) << "flip at byte " << at;
+    }
+  });
+  const auto pristine = read_back(dir, StoreReader::kSeek);
+  EXPECT_EQ(pristine.samples, samples_of(seq_range(0, 3), 24));
+  EXPECT_TRUE(pristine.clean);
+}
+
+namespace {
+
+/// Caps the size of files this process may write (RLIMIT_FSIZE) and ignores
+/// SIGXFSZ, so writing past the cap fails with EFBIG instead of killing the
+/// process: a full disk on demand. Restores both on scope exit.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(std::uint64_t bytes)
+      : saved_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    rlimit capped = saved_;
+    capped.rlim_cur = static_cast<rlim_t>(bytes);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  void (*saved_handler_)(int);
+  rlimit saved_{};
+};
+
+}  // namespace
+
+TEST_F(SegmentStoreTest, SyncAndCloseSurfaceFullDiskInsteadOfSilentLoss) {
+  // Appends only buffer, so a full disk is detectable at the durability
+  // points alone: sync() and close() must throw rather than return as if
+  // the records were durable. Whatever the last successful sync() covered
+  // must survive a reopen of a store that still verifies.
+  for (const bool at_close : {false, true}) {
+    const auto dir = temp_file(at_close ? "full_at_close" : "full_at_sync");
+    constexpr std::uint64_t kSynced = 5;
+    {
+      river::SegmentedRecordLog log(dir);
+      for (std::uint64_t i = 0; i < kSynced; ++i) {
+        log.append(audio_record(i, 16), static_cast<double>(i));
+      }
+      log.sync();
+      // The disk fills up 16 bytes past the synced prefix.
+      const FileSizeCap cap(river::kSegmentHeaderBytes +
+                            log.segments().back().bytes + 16);
+      for (std::uint64_t i = kSynced; i < 2 * kSynced; ++i) {
+        log.append(audio_record(i, 16), static_cast<double>(i));
+      }
+      if (at_close) {
+        EXPECT_THROW(log.close(), std::runtime_error);
+      } else {
+        EXPECT_THROW(log.sync(), std::runtime_error);
+      }
+    }  // the destructor closes best-effort, with the disk free again
+
+    river::SegmentedRecordLog reopened(dir);
+    reopened.close();
+    river::SegmentStoreReader reader(dir);
+    std::string error;
+    EXPECT_TRUE(reader.verify(&error)) << "at_close=" << at_close << ": "
+                                       << error;
+    auto cursor = reader.seek(0.0);
+    const auto got = drain_cursor(cursor);
+    ASSERT_GE(got.size(), kSynced) << "at_close=" << at_close;
+    for (std::uint64_t i = 0; i < kSynced; ++i) {
+      EXPECT_EQ(got[i], audio_record(i, 16)) << "at_close=" << at_close;
+    }
+  }
 }
 
 TEST_F(SegmentStoreTest, AdoptsSealedButUnmanifestedSegmentOnReopen) {
@@ -564,16 +819,20 @@ TEST_F(SegmentStoreTest, CompactionWithOpenActiveSegmentKeepsActiveRecords) {
 // to the merged segment. This fixture reconstructs the exact mid-race view
 // deterministically — no threads, no timing — by snapshotting a store
 // directory, compacting the copy, and planting the merged file beside the
-// original (stale) manifest and sealed files.
-class StaleReaderCompactionRace : public SegmentStoreTest {
+// original (stale) manifest and sealed files. Every arm runs through every
+// reader: the presumed-active file is one walk step, whoever drives it.
+class StaleReaderCompactionRace
+    : public SegmentStoreTest,
+      public ::testing::WithParamInterface<StoreReader> {
  protected:
-  static constexpr std::size_t kRecords = 32;  // 4 sealed segments x 8
+  static constexpr std::uint64_t kRecords = 32;  // 4 sealed segments x 8
+  static constexpr std::size_t kSamples = 32;    // per record
 
   void build_store(const fs::path& dir) {
     river::SegmentedRecordLog log(dir);
     for (std::uint64_t sec = 0; sec < 4; ++sec) {
       for (std::uint64_t i = 0; i < 8; ++i) {
-        log.append(audio_record(sec * 8 + i, 32),
+        log.append(audio_record(sec * 8 + i, kSamples),
                    static_cast<double>(sec) + 0.1 * static_cast<double>(i));
       }
       log.seal_active();
@@ -583,8 +842,8 @@ class StaleReaderCompactionRace : public SegmentStoreTest {
 
   /// Compact a copy of `dir` and plant the merged segment (which takes the
   /// stale manifest's `next` index — the name a stale reader presumes
-  /// active) back into `dir`. Returns the merged file's name.
-  std::string plant_merged_segment(const fs::path& dir) {
+  /// active) back into `dir`.
+  void plant_merged_segment(const fs::path& dir) {
     const auto shadow = temp_file("shadow");
     fs::copy(dir, shadow, fs::copy_options::recursive);
     {
@@ -595,11 +854,17 @@ class StaleReaderCompactionRace : public SegmentStoreTest {
     const std::string merged = "seg-000004.drs";
     EXPECT_TRUE(fs::exists(shadow / merged));
     fs::copy_file(shadow / merged, dir / merged);
-    return merged;
+  }
+
+  /// The sealed records, then `tail`, as samples.
+  static std::vector<float> want_samples(std::vector<std::uint64_t> tail) {
+    auto seqs = seq_range(0, kRecords);
+    seqs.insert(seqs.end(), tail.begin(), tail.end());
+    return samples_of(seqs, kSamples);
   }
 };
 
-TEST_F(StaleReaderCompactionRace, CursorSkipsMergedOldDataPresumedActive) {
+TEST_P(StaleReaderCompactionRace, SkipsMergedOldDataPresumedActive) {
   const auto dir = store_dir();
   build_store(dir);
   plant_merged_segment(dir);
@@ -607,33 +872,13 @@ TEST_F(StaleReaderCompactionRace, CursorSkipsMergedOldDataPresumedActive) {
   // The stale view: sealed list from the old manifest, plus seg-000004
   // presumed active — but it holds the *merged old* records. Reading it as
   // the live tail would re-emit records 0..31 with time running backwards.
-  river::SegmentStoreReader reader(dir);
-  auto cursor = reader.seek(0.0);
-  const auto got = drain_cursor(cursor);  // asserts time stays monotone
-  EXPECT_FALSE(cursor.torn());
-  ASSERT_EQ(got.size(), kRecords) << "merged old data re-read as live tail";
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].sequence, i) << "record " << i;
-  }
+  const auto back = read_back(dir, GetParam());
+  EXPECT_TRUE(back.clean);
+  EXPECT_EQ(back.samples, want_samples({}))
+      << "merged old data re-read as live tail";
 }
 
-TEST_F(StaleReaderCompactionRace, PrefetchedReplaySkipsMergedOldData) {
-  const auto dir = store_dir();
-  build_store(dir);
-  plant_merged_segment(dir);
-
-  // Same stale view through the prefetching replay path (its loader thread
-  // walks the identical segment sequence and must apply the same probe).
-  river::ReplayOptions options;
-  options.prefetch = true;
-  river::SegmentStoreSource source(dir, options);
-  const auto samples = drain(source, 64);
-  EXPECT_EQ(samples.size(), kRecords * 32)
-      << "prefetched replay re-read merged old data";
-  EXPECT_EQ(source.records_in(), kRecords);
-}
-
-TEST_F(StaleReaderCompactionRace, SegmentSealedAfterSnapshotReadsAsSealed) {
+TEST_P(StaleReaderCompactionRace, SegmentSealedAfterSnapshotReadsAsSealed) {
   // The probe's other arm: the presumed-active file has a footer but its
   // span *continues* the sealed tail — the writer simply sealed it after
   // the reader's snapshot. It must read with sealed semantics (payload
@@ -646,7 +891,7 @@ TEST_F(StaleReaderCompactionRace, SegmentSealedAfterSnapshotReadsAsSealed) {
     // Newer records into the copy; seal makes seg-000004 a sealed segment.
     river::SegmentedRecordLog log(shadow);
     for (std::uint64_t i = 0; i < 8; ++i) {
-      log.append(audio_record(100 + i, 32),
+      log.append(audio_record(100 + i, kSamples),
                  10.0 + 0.1 * static_cast<double>(i));
     }
     log.close();
@@ -655,29 +900,46 @@ TEST_F(StaleReaderCompactionRace, SegmentSealedAfterSnapshotReadsAsSealed) {
   ASSERT_TRUE(fs::exists(shadow / newer));
   fs::copy_file(shadow / newer, dir / newer);
 
-  river::SegmentStoreReader reader(dir);
-  auto cursor = reader.seek(0.0);
-  const auto got = drain_cursor(cursor);
-  EXPECT_FALSE(cursor.torn()) << "sealed tail misread as torn active file";
-  ASSERT_EQ(got.size(), kRecords + 8);
-  EXPECT_EQ(got.back().sequence, 107U);
+  const auto back = read_back(dir, GetParam());
+  EXPECT_TRUE(back.clean) << "sealed tail misread as torn active file";
+  EXPECT_EQ(back.samples, want_samples(seq_range(100, 8)));
+  EXPECT_EQ(back.segments_opened, 5U);
 }
 
-TEST_F(StaleReaderCompactionRace, GenuinelyActiveFileStillReadsAsTail) {
+TEST_P(StaleReaderCompactionRace, GenuinelyActiveFileStillReadsAsTail) {
   // Control: with no racing compaction, the presumed-active file really is
   // the writer's live tail (no footer) and its synced records must surface.
   const auto dir = store_dir();
   build_store(dir);
   river::SegmentedRecordLog log(dir);  // reopen: next index 4 becomes active
-  log.append(audio_record(200, 32), 20.0);
+  log.append(audio_record(200, kSamples), 20.0);
   log.sync();
 
-  river::SegmentStoreReader reader(dir);
-  auto cursor = reader.seek(0.0);
-  const auto got = drain_cursor(cursor);
-  ASSERT_EQ(got.size(), kRecords + 1);
-  EXPECT_EQ(got.back().sequence, 200U);
+  const auto back = read_back(dir, GetParam());
+  EXPECT_TRUE(back.clean);
+  EXPECT_EQ(back.samples, want_samples({200}));
 }
+
+TEST_P(StaleReaderCompactionRace, UnreadableActiveHeaderReadsAsTornTail) {
+  // The presumed-active file exists but its header bytes are not (yet)
+  // readable: every sealed record still surfaces, then the read ends torn.
+  const auto dir = store_dir();
+  build_store(dir);
+  testsupport::write_file_bytes(dir / "seg-000004.drs",
+                                std::vector<std::uint8_t>(20, 0));
+
+  const auto back = read_back(dir, GetParam());
+  EXPECT_FALSE(back.clean);
+  EXPECT_FALSE(back.threw);
+  EXPECT_EQ(back.samples, want_samples({}));
+  EXPECT_EQ(back.segments_opened, 5U);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryReader, StaleReaderCompactionRace,
+                         ::testing::ValuesIn(kEveryReader),
+                         [](const ::testing::TestParamInfo<StoreReader>& p) {
+                           return std::string(reader_name(p.param));
+                         });
 
 // ---------------------------------------------------------------------------
 // Replay: sample windows and bit-identity with live extraction
@@ -756,7 +1018,7 @@ TEST_F(SegmentStoreTest, ArchiverRejectsSampleRateMismatchOnResume) {
                std::runtime_error);
 }
 
-TEST_F(SegmentStoreTest, ReplayIsBitIdenticalToFlatLogAndLiveExtraction) {
+TEST_F(SegmentStoreTest, ReplayIsBitIdenticalToLiveExtraction) {
   const auto params = small_params();
   const auto xs = random_signal_with_events(60000, 11);
   const double rate = 21600.0;
@@ -764,22 +1026,6 @@ TEST_F(SegmentStoreTest, ReplayIsBitIdenticalToFlatLogAndLiveExtraction) {
   // Live extraction is the reference.
   const auto want = core::EnsembleExtractor(params).extract(xs);
   ASSERT_FALSE(want.ensembles.empty());
-
-  // Flat-log replay: self-describing data records in a RecordLog.
-  const auto flat_path = temp_file("flat.drl");
-  {
-    river::RecordLogWriter writer(flat_path);
-    for (std::size_t pos = 0; pos < xs.size(); pos += 900) {
-      const std::size_t n = std::min<std::size_t>(900, xs.size() - pos);
-      Record rec = Record::data(
-          river::kSubtypeAudio,
-          river::FloatVec(xs.begin() + static_cast<std::ptrdiff_t>(pos),
-                          xs.begin() + static_cast<std::ptrdiff_t>(pos + n)));
-      rec.set_attr(river::kAttrSampleRate, rate);
-      writer.write(rec);
-    }
-    writer.close();
-  }
 
   // Segment-store replay, with rotation forced mid-stream.
   const auto dir = store_dir();
@@ -797,20 +1043,17 @@ TEST_F(SegmentStoreTest, ReplayIsBitIdenticalToFlatLogAndLiveExtraction) {
     ASSERT_GT(log.segments().size(), 1U) << "rotation must be exercised";
   }
 
-  const auto replay = [&](river::SampleSource& source) {
+  for (const bool prefetch : {true, false}) {
+    river::ReplayOptions options;
+    options.prefetch = prefetch;
+    river::SegmentStoreSource segmented(dir, options);
     core::StreamSession session(params);
     river::CollectingEnsembleSink sink;
-    core::run_stream(source, session, sink);
-    return std::move(sink.ensembles);
-  };
-
-  river::RecordLogSource flat(flat_path);
-  expect_same_ensembles(replay(flat), want.ensembles, "flat log");
-  ASSERT_TRUE(flat.clean());
-
-  river::SegmentStoreSource segmented(dir);
-  expect_same_ensembles(replay(segmented), want.ensembles, "segment store");
-  ASSERT_TRUE(segmented.clean());
+    core::run_stream(segmented, session, sink);
+    expect_same_ensembles(sink.ensembles, want.ensembles,
+                          prefetch ? "prefetched" : "synchronous");
+    ASSERT_TRUE(segmented.clean());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -916,29 +1159,14 @@ TEST_F(SegmentStoreTest, PackedReplayBitIdenticalEveryChunkingAndBothPaths) {
 }
 
 TEST_F(SegmentStoreTest, PackedReplayExtractionMatchesLiveAndFlatLog) {
-  // The tentpole pin: compressed + prefetched replay drives extraction to
-  // the same ensembles as live extraction and as a flat-log replay.
+  // Compressed replay, prefetched or not, drives extraction to the same
+  // ensembles as live extraction.
   const auto params = small_params();
   const auto xs = quantized_signal_with_events(60000, 11);
   const double rate = 21600.0;
 
   const auto want = core::EnsembleExtractor(params).extract(xs);
   ASSERT_FALSE(want.ensembles.empty());
-
-  const auto flat_path = temp_file("flat.drl");
-  {
-    river::RecordLogWriter writer(flat_path);
-    for (std::size_t pos = 0; pos < xs.size(); pos += 900) {
-      const std::size_t n = std::min<std::size_t>(900, xs.size() - pos);
-      Record rec = Record::data(
-          river::kSubtypeAudio,
-          river::FloatVec(xs.begin() + static_cast<std::ptrdiff_t>(pos),
-                          xs.begin() + static_cast<std::ptrdiff_t>(pos + n)));
-      rec.set_attr(river::kAttrSampleRate, rate);
-      writer.write(rec);
-    }
-    writer.close();
-  }
 
   const auto dir = store_dir();
   {
@@ -959,10 +1187,6 @@ TEST_F(SegmentStoreTest, PackedReplayExtractionMatchesLiveAndFlatLog) {
     core::run_stream(source, session, sink);
     return std::move(sink.ensembles);
   };
-
-  river::RecordLogSource flat(flat_path);
-  expect_same_ensembles(replay(flat), want.ensembles, "flat log");
-  ASSERT_TRUE(flat.clean());
 
   river::SegmentStoreSource prefetched(dir);
   expect_same_ensembles(replay(prefetched), want.ensembles, "packed prefetch");
@@ -1069,7 +1293,7 @@ TEST_F(SegmentStoreTest, DamagedOrTruncatedPackedStoreSurfacesAsLostNotCrash) {
                     std::istreambuf_iterator<char>());
   }
 
-  {  // bit-flip drill, through both replay paths
+  {  // bit-flip drill, with prefetch on and off
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     f.seekp(200);
     const char x = 0x5A;

@@ -1,9 +1,8 @@
 // Tier-2 soak for the storage layer, at three stress points:
 //
-//   1. Recovery memory: scanning the valid prefix of a ~64 MB torn record
-//      log must stream (bounded chunks), not slurp the file — pinned with a
-//      peak-RSS (VmHWM) assertion. The regression this guards: the original
-//      scan_valid_prefix read the whole file into one vector.
+//   1. Recovery memory: reopening a store whose ~64 MB active segment is
+//      torn must scan its valid prefix frame by frame, not slurp the file —
+//      pinned with a peak-RSS (VmHWM) assertion.
 //   2. Rotation under sustained write with a reader racing the writer:
 //      readers opened mid-write must always end cleanly (sealed segments +
 //      synced tail), never throw, and observe monotonically non-decreasing
@@ -23,11 +22,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 #include <vector>
 
 #include "river/record.hpp"
-#include "river/record_log.hpp"
 #include "river/segment_store.hpp"
 #include "test_support.hpp"
 
@@ -70,39 +69,51 @@ class SegmentStoreSoak : public testsupport::TempDirTest {};
 
 }  // namespace
 
-TEST_F(SegmentStoreSoak, RecoveryScanOfLargeTornLogIsBoundedMemory) {
-  // ~64 MB flat log (DR_SOAK_LOG_RECORDS scales it), torn mid-frame.
-  const auto path = temp_file("big.drl");
+TEST_F(SegmentStoreSoak, RecoveryScanOfLargeTornActiveSegmentIsBoundedMemory) {
+  // One ~64 MB segment (DR_SOAK_LOG_RECORDS scales it), torn mid-frame.
+  const auto dir = temp_file("big-store");
   const std::size_t records = env_size("DR_SOAK_LOG_RECORDS", 4000);
+  river::SegmentStoreOptions options;
+  options.max_segment_bytes = std::uint64_t{1} << 40;  // never rotate
+  std::uint64_t payload_end = 0;
   {
-    river::RecordLogWriter writer(path);
+    river::SegmentedRecordLog log(dir, options);
     for (std::uint64_t i = 0; i < records; ++i) {
-      writer.write(audio_record(i, 4096));  // ~16.4 KB per frame
+      log.append(audio_record(i, 4096),  // ~16.4 KB per frame
+                 static_cast<double>(i));
     }
-    writer.close();
+    log.close();
+    ASSERT_EQ(log.segments().size(), 1U);
+    payload_end = river::kSegmentHeaderBytes + log.segments()[0].bytes;
   }
-  const auto full_size = fs::file_size(path);
-  fs::resize_file(path, full_size - 5);  // torn tail
+  // Turn the sealed segment back into its writer's crash image: cut the
+  // index and footer off mid-way through the last frame, and rewind the
+  // manifest so the file is the unpublished active segment again.
+  const auto path = dir / "seg-000000.drs";
+  fs::resize_file(path, payload_end - 5);
+  {
+    std::ofstream manifest(dir / "MANIFEST", std::ios::trunc);
+    manifest << "dynriver-segment-store v1\nnext 0\n";
+  }
+  const auto torn_size = fs::file_size(path);
 
   const std::size_t rss_before = peak_rss_bytes();
-  const auto [valid_bytes, valid_records] = river::scan_log_valid_prefix(path);
-  river::RecordLogWriter writer(path, river::LogOpenMode::kRecover);
+  river::SegmentedRecordLog log(dir, options);
   const std::size_t rss_after = peak_rss_bytes();
 
-  EXPECT_EQ(valid_records, records - 1);
-  EXPECT_LT(valid_bytes, full_size);
-  EXPECT_EQ(writer.recovered_records(), records - 1);
-  writer.write(audio_record(records, 16));  // still appendable
-  writer.close();
+  EXPECT_EQ(log.recovered_records(), records - 1);
+  log.append(audio_record(records, 16),  // still appendable
+             static_cast<double>(records));
+  log.close();
 
   if (rss_before == 0) GTEST_SKIP() << "/proc/self/status unavailable";
-  // The whole-file slurp this guards against would spike VmHWM by at least
-  // full_size (~64 MB); the streamed scan needs only a 64 KiB window plus
-  // one decoder frame. Allow generous allocator/sanitizer slack.
+  // A whole-file slurp would spike VmHWM by at least the file size
+  // (~64 MB); the frame-by-frame scan needs one frame plus the sparse index
+  // it rebuilds. Allow generous allocator/sanitizer slack.
   const std::size_t grew = rss_after - rss_before;
-  EXPECT_LT(grew, full_size / 4)
+  EXPECT_LT(grew, torn_size / 4)
       << "recovery scan retained O(file) memory (grew " << grew << " bytes of "
-      << full_size << ")";
+      << torn_size << ")";
 }
 
 TEST_F(SegmentStoreSoak, ReaderRacesWriterThroughSustainedRotation) {
