@@ -14,32 +14,23 @@ StreamCutter::StreamCutter(std::size_t channels, std::size_t merge_gap_samples,
   DR_EXPECTS(channels >= 1);
 }
 
-void StreamCutter::open_run(std::size_t i) {
-  if (pending_) {
-    // Trigger re-fired within the merge gap (an eager finalize would have
-    // run otherwise): absorb the buffered gap and continue the ensemble.
-    for (std::size_t c = 0; c < channels_; ++c) {
-      bufs_[c].insert(bufs_[c].end(), gaps_[c].begin(), gaps_[c].end());
-      gaps_[c].clear();
-    }
-    pending_ = false;
-    cutting_ = true;
-  } else if (!cutting_) {
-    cutting_ = true;
-    start_ = i;
-  }
-}
-
-void StreamCutter::step_triggered(std::size_t i, const float* frame) {
-  open_run(i);
-  for (std::size_t c = 0; c < channels_; ++c) bufs_[c].push_back(frame[c]);
-}
-
 void StreamCutter::step_run(bool trig, const float* const* channels,
                             std::size_t offset, std::size_t len) {
   if (len == 0) return;
   if (trig) {
-    open_run(pos_);
+    if (pending_) {
+      // Trigger re-fired within the merge gap (an eager finalize would have
+      // run otherwise): absorb the buffered gap and continue the ensemble.
+      for (std::size_t c = 0; c < channels_; ++c) {
+        bufs_[c].insert(bufs_[c].end(), gaps_[c].begin(), gaps_[c].end());
+        gaps_[c].clear();
+      }
+      pending_ = false;
+      cutting_ = true;
+    } else if (!cutting_) {
+      cutting_ = true;
+      start_ = pos_;
+    }
     for (std::size_t c = 0; c < channels_; ++c) {
       bufs_[c].insert(bufs_[c].end(), channels[c] + offset,
                       channels[c] + offset + len);
@@ -50,8 +41,8 @@ void StreamCutter::step_run(bool trig, const float* const* channels,
       pending_ = true;
     }
     if (pending_) {
-      // Only the first merge_gap_ + 1 gap samples matter: the single step()
-      // would finalize right there and ignore the rest of the quiet run.
+      // Only the first merge_gap_ + 1 gap samples matter: the gap is
+      // decided at that sample and the rest of the quiet run is ignored.
       const std::size_t take = std::min(len, merge_gap_ + 1 - gaps_[0].size());
       for (std::size_t c = 0; c < channels_; ++c) {
         gaps_[c].insert(gaps_[c].end(), channels[c] + offset,

@@ -3,10 +3,11 @@
 // detail::StreamCutter runs the trigger-run -> gap-merge -> length-floor
 // state machine over C synchronized channels, buffering only the open
 // ensemble and the merge-gap lookahead. It is the single implementation of
-// the paper's cutter semantics: StreamSession (C = 1) and MultiStreamSession
-// delegate to it, and the river operator ExtractOp runs a StreamSession, so
-// the operator path and the sessions cannot diverge (tests/test_core_ops.cpp
-// proves them bit-identical under every recordization).
+// the paper's cutter semantics: the one session core (detail::SessionCore)
+// behind StreamSession (C = 1) and MultiStreamSession delegates to it, and
+// the river operator ExtractOp runs a StreamSession, so the operator path and
+// the sessions cannot diverge (tests/test_core_ops.cpp proves them
+// bit-identical under every recordization).
 #pragma once
 
 #include <cstddef>
@@ -24,37 +25,13 @@ class StreamCutter {
   StreamCutter(std::size_t channels, std::size_t merge_gap_samples,
                std::size_t min_ensemble_samples);
 
-  /// Feed one frame: the trigger value plus one sample per channel
-  /// (`frame[c]`, c < channels). Header-inline so the per-sample fast path
-  /// (background sample, nothing open: two branches) fuses into the
-  /// sessions' scoring loops; the triggered/pending paths are outlined.
-  void step(bool trig, const float* frame) {
-    const std::size_t i = pos_++;
-    if (trig) {
-      step_triggered(i, frame);
-      return;
-    }
-    if (cutting_) {
-      cutting_ = false;
-      pending_ = true;
-    }
-    if (pending_) {
-      for (std::size_t c = 0; c < channels_; ++c) {
-        gaps_[c].push_back(frame[c]);
-      }
-      // Gap too wide to merge: the ensemble's fate is decided now, so it
-      // emits immediately instead of waiting for end of stream.
-      if (gaps_[0].size() > merge_gap_) finalize();
-    }
-  }
-
-  /// Batch twin of step(): feed `len` consecutive frames that all share one
-  /// trigger value — `channels[c] + offset` points at channel c's first
-  /// sample. Bit-identical to `len` single steps, but the open ensemble and
-  /// merge gap grow by bulk range inserts instead of per-sample push_back,
-  /// which is what keeps batch extraction at range-slicing speed: trigger
-  /// runs are thousands of samples long, so callers flush per *run*, not
-  /// per sample (see StreamSession::push).
+  /// Feed `len` consecutive frames that all share one trigger value —
+  /// `channels[c] + offset` points at channel c's first sample. The open
+  /// ensemble and merge gap grow by bulk range inserts: trigger runs are
+  /// thousands of samples long, so callers flush per *run*, not per sample
+  /// (see SessionCore::push), and any split of a run into shorter runs gives
+  /// the same cuts (the sessions' chunk sweeps down to 1-sample pushes pin
+  /// this).
   void step_run(bool trig, const float* const* channels, std::size_t offset,
                 std::size_t len);
 
@@ -89,11 +66,6 @@ class StreamCutter {
   [[nodiscard]] std::size_t buffered_samples() const;
 
  private:
-  /// Absorb a pending merge gap or open a fresh run starting at frame `i`
-  /// — the one copy of the re-fire/start bookkeeping shared by step() and
-  /// step_run().
-  void open_run(std::size_t i);
-  void step_triggered(std::size_t i, const float* frame);
   void finalize();
 
   std::size_t channels_;

@@ -42,86 +42,166 @@ std::vector<std::uint8_t> SignalTap::trigger() const {
 }
 
 // ---------------------------------------------------------------------------
-// StreamSession
+// SessionCore
 // ---------------------------------------------------------------------------
 
-StreamSession::StreamSession(PipelineParams params, Options options,
-                             std::shared_ptr<const SpectralEngine> engine)
-    : params_(params),
-      options_(std::move(options)),
+namespace detail {
+
+SessionCore::SessionCore(const PipelineParams& params, std::size_t channels,
+                         SessionOptions options,
+                         std::shared_ptr<const SpectralEngine> engine)
+    : options_(std::move(options)),
       features_(params, std::move(engine)),
-      scorer_(params.anomaly),
+      lead_(params.anomaly),
       trigger_(params.trigger_sigma, params.trigger_min_baseline,
                params.trigger_hold_samples),
-      cutter_(1, params.merge_gap_samples, params.min_ensemble_samples),
+      cutter_(channels, params.merge_gap_samples, params.min_ensemble_samples),
       tap_(options_.tap_capacity) {
-  params_.validate();
+  DR_EXPECTS(channels >= 1);
+  params.validate();
+  more_.reserve(channels - 1);
+  for (std::size_t c = 1; c < channels; ++c) {
+    more_.emplace_back(params.anomaly);
+  }
 }
 
 namespace {
-/// Samples scored per batched block inside the sessions' push loops: large
-/// enough to amortize the scorer's batch entry (whole energy frames, one
-/// push_run per frame), small enough that the score scratch stays cache-hot
-/// (32 KiB of doubles) next to the input block.
+/// Samples scored per batched block inside the push loop: large enough to
+/// amortize the scorer's batch entry (whole energy frames, one push_run per
+/// frame), small enough that the score scratch stays cache-hot (32 KiB of
+/// doubles per channel) next to the input block.
 constexpr std::size_t kScoreBlock = 4096;
+
+// Score folds: frame j's per-channel scores live at scores[c * kScoreBlock
+// + j]. Each fold reads channels in fixed order and is seeded from channel
+// 0, so a one-channel session's trigger input is exactly its scorer's
+// output. The fold stays inside the trigger loop on purpose: a separate SIMD
+// max/mean pass over the block was measured slower — the extra fused-score
+// buffer traffic does not overlap anything, while these few scalar ops hide
+// under the trigger's serial Welford chain.
+
+/// One channel: the scorer's output is the trigger's input.
+struct SingleScore {
+  double operator()(const double* scores, std::size_t j) const {
+    return scores[j];
+  }
+};
+
+struct MaxScore {
+  std::size_t channels;
+  double operator()(const double* scores, std::size_t j) const {
+    double fused = scores[j];
+    for (std::size_t c = 1; c < channels; ++c) {
+      fused = std::max(fused, scores[c * kScoreBlock + j]);
+    }
+    return fused;
+  }
+};
+
+struct MeanScore {
+  std::size_t channels;
+  double operator()(const double* scores, std::size_t j) const {
+    double fused = scores[j];
+    for (std::size_t c = 1; c < channels; ++c) {
+      fused += scores[c * kScoreBlock + j];
+    }
+    return fused / static_cast<double>(channels);
+  }
+};
 }  // namespace
 
-std::size_t StreamSession::push(std::span<const float> samples) {
-  if (pending_params_) return push_reconfiguring(samples);
-  const bool tapped = tap_.enabled();
-  const bool observed = static_cast<bool>(options_.on_signal);
-  // The scorer runs block-batched (whole energy frames fold through the
-  // dsp::simd kernels — bit-identical to per-sample pushes); the
+template <typename Fold>
+std::size_t SessionCore::push(const float* const* data, std::size_t n,
+                              Fold fold) {
+  // Each channel's scorer runs block-batched (whole energy frames fold
+  // through the dsp::simd kernels — bit-identical to per-sample pushes; the
+  // scorers are independent automata) into its slice of the scratch. The
   // trigger/tap loop then accumulates runs of equal trigger value over the
-  // block's scores and hands each run to the cutter in one bulk call:
+  // block's fused scores and hands each run to the cutter in one bulk call:
   // trigger runs are thousands of samples long, so the cutter's per-sample
   // bookkeeping vanishes and ensemble/gap buffers grow by range inserts.
-  const float* data = samples.data();
-  const std::size_t n = samples.size();
-  if (score_block_.empty()) score_block_.resize(kScoreBlock);
+  const std::size_t ch = channels();
+  const bool tapped = tap_.enabled();
+  const bool observed = static_cast<bool>(options_.on_signal);
+  if (score_block_.size() < ch * kScoreBlock) {
+    score_block_.resize(ch * kScoreBlock);
+  }
   double* const scores = score_block_.data();
   bool run_trig = false;
   std::size_t run_start = 0;
   for (std::size_t base = 0; base < n; base += kScoreBlock) {
     const std::size_t m = std::min(kScoreBlock, n - base);
-    scorer_.push_batch(data + base, m, scores);
+    lead_.push_batch(data[0] + base, m, scores);
+    for (std::size_t c = 1; c < ch; ++c) {
+      more_[c - 1].push_batch(data[c] + base, m, scores + c * kScoreBlock);
+    }
     for (std::size_t j = 0; j < m; ++j) {
       const std::size_t i = base + j;
-      const double score = scores[j];
+      const double score = fold(scores, j);
       const bool trig = trigger_.push(score);
       if (tapped) tap_.push(static_cast<float>(score), trig);
       if (observed) {
         options_.on_signal(consumed_ + i, static_cast<float>(score), trig);
       }
       if (trig != run_trig) {
-        cutter_.step_run(run_trig, &data, run_start, i - run_start);
+        cutter_.step_run(run_trig, data, run_start, i - run_start);
         run_trig = trig;
         run_start = i;
       }
     }
   }
-  if (n > 0) cutter_.step_run(run_trig, &data, run_start, n - run_start);
+  if (n > 0) cutter_.step_run(run_trig, data, run_start, n - run_start);
   consumed_ += n;
   return cutter_.ready();
 }
 
-// Slow-path twin of push(): scans for the first safe boundary sample by
-// sample, applies the pending parameters there, and continues. Kept out of
+void SessionCore::reset() {
+  lead_.reset();
+  for (auto& scorer : more_) scorer.reset();
+  trigger_.reset();
+  cutter_.reset();
+  tap_.reset();
+  consumed_ = 0;
+}
+
+void SessionCore::set_decision(const PipelineParams& params) {
+  // The trigger keeps its baseline statistics (mu0/sigma0 survive the
+  // re-tune); only the decision thresholds change.
+  trigger_.set_thresholding(params.trigger_sigma, params.trigger_min_baseline,
+                            params.trigger_hold_samples);
+  cutter_.set_bounds(params.merge_gap_samples, params.min_ensemble_samples);
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// StreamSession
+// ---------------------------------------------------------------------------
+
+StreamSession::StreamSession(PipelineParams params, Options options,
+                             std::shared_ptr<const SpectralEngine> engine)
+    : params_(params), core_(params_, 1, std::move(options), std::move(engine)) {}
+
+std::size_t StreamSession::push(std::span<const float> samples) {
+  if (pending_params_) return push_reconfiguring(samples);
+  const float* data = samples.data();
+  return core_.push(&data, samples.size(), detail::SingleScore{});
+}
+
+// Slow path while a reconfigure waits for the ensemble boundary: advances
+// one sample at a time until the cutter is idle, adopts the pending
+// parameters there, and hands the rest of the chunk to push(). Kept out of
 // push() so a session that is not mid-reconfigure pays zero extra branches
 // per sample.
 std::size_t StreamSession::push_reconfiguring(std::span<const float> samples) {
-  const bool tapped = tap_.enabled();
-  const bool observed = static_cast<bool>(options_.on_signal);
-  for (const float x : samples) {
-    if (pending_params_ && cutter_.idle()) apply_reconfigure();
-    const double score = scorer_.push(x);
-    const bool trig = trigger_.push(score);
-    if (tapped) tap_.push(static_cast<float>(score), trig);
-    if (observed) options_.on_signal(consumed_, static_cast<float>(score), trig);
-    cutter_.step(trig, &x);
-    ++consumed_;
+  std::size_t i = 0;
+  for (; i < samples.size() && !core_.idle(); ++i) {
+    const float* frame = samples.data() + i;
+    core_.push(&frame, 1, detail::SingleScore{});
   }
-  return cutter_.ready();
+  if (i == samples.size()) return core_.ready();
+  apply_reconfigure();
+  return push(samples.subspan(i));
 }
 
 bool reconfigure_compatible(const PipelineParams& a, const PipelineParams& b) {
@@ -140,31 +220,23 @@ void StreamSession::reconfigure(const PipelineParams& params) {
   pending_params_ = params;
   // Between ensembles the new rules can start this very instant; otherwise
   // the in-flight ensemble finishes under the old rules first.
-  if (cutter_.idle()) apply_reconfigure();
+  if (core_.idle()) apply_reconfigure();
 }
 
 void StreamSession::apply_reconfigure() {
-  const PipelineParams& p = *pending_params_;
-  // The trigger keeps its baseline statistics (mu0/sigma0 survive the
-  // re-tune); only the decision thresholds change.
-  trigger_.set_thresholding(p.trigger_sigma, p.trigger_min_baseline,
-                            p.trigger_hold_samples);
-  cutter_.set_bounds(p.merge_gap_samples, p.min_ensemble_samples);
-  params_ = p;
+  core_.set_decision(*pending_params_);
+  params_ = *pending_params_;
   pending_params_.reset();
 }
 
 std::vector<river::Ensemble> StreamSession::drain() {
-  std::vector<river::Ensemble> out;
-  while (auto cut = cutter_.pop()) {
-    out.push_back(river::Ensemble{cut->start_sample,
-                                  std::move(cut->channels.front())});
-  }
-  return out;
+  return core_.drain([](detail::StreamCutter::Cut cut) {
+    return river::Ensemble{cut.start_sample, std::move(cut.channels.front())};
+  });
 }
 
 std::vector<river::Ensemble> StreamSession::finish() {
-  cutter_.finish();
+  core_.finish();
   // End of stream decides the in-flight ensemble under the old rules; a
   // still-pending reconfigure lands now that the automaton is idle.
   if (pending_params_) apply_reconfigure();
@@ -172,17 +244,13 @@ std::vector<river::Ensemble> StreamSession::finish() {
 }
 
 void StreamSession::reset() {
-  scorer_.reset();
-  trigger_.reset();
-  cutter_.reset();
-  tap_.reset();
-  consumed_ = 0;
+  core_.reset();
   if (pending_params_) apply_reconfigure();
 }
 
 std::vector<std::vector<float>> StreamSession::featurize(
     const river::Ensemble& ensemble) const {
-  return features_.patterns(ensemble.samples);
+  return core_.features().patterns(ensemble.samples);
 }
 
 // ---------------------------------------------------------------------------
@@ -193,164 +261,51 @@ MultiStreamSession::MultiStreamSession(
     MultiStreamParams params, std::size_t channels,
     StreamSession::Options options, std::shared_ptr<const SpectralEngine> engine)
     : params_(std::move(params)),
-      options_(std::move(options)),
-      features_(params_.base, std::move(engine)),
-      trigger_(params_.base.trigger_sigma, params_.base.trigger_min_baseline,
-               params_.base.trigger_hold_samples),
-      cutter_(channels, params_.base.merge_gap_samples,
-              params_.base.min_ensemble_samples),
-      tap_(options_.tap_capacity) {
-  DR_EXPECTS(channels >= 1);
-  params_.base.validate();
-  scorers_.reserve(channels);
-  for (std::size_t c = 0; c < channels; ++c) {
-    scorers_.emplace_back(params_.base.anomaly);
-  }
-}
-
-void MultiStreamSession::fuse_block(const double* const* scores,
-                                    std::size_t base, std::size_t m,
-                                    const float* const* data, bool& run_trig,
-                                    std::size_t& run_start) {
-  // Fusion reads channels in fixed order, so push() and push_scored() are
-  // bit-identical for the same signals. Observer flags and channel count are
-  // hoisted; the cutter is fed whole trigger runs in bulk (trigger runs are
-  // thousands of samples long, so its per-sample branches never run here).
-  const std::size_t ch = channels();
-  const bool slow_path = tap_.enabled() || options_.on_signal != nullptr;
-  const bool fuse_max = params_.fusion == ScoreFusion::kMax;
-  // The per-sample fusion fold stays inside the trigger loop on purpose: a
-  // separate SIMD max/mean pass over the block was measured slower — the
-  // extra fused-score buffer traffic does not overlap anything, while these
-  // few scalar ops hide entirely under the trigger's serial Welford chain.
-  for (std::size_t j = 0; j < m; ++j) {
-    const std::size_t i = base + j;
-    double fused = 0.0;
-    if (fuse_max) {
-      for (std::size_t c = 0; c < ch; ++c) {
-        fused = std::max(fused, scores[c][j]);
-      }
-    } else {
-      for (std::size_t c = 0; c < ch; ++c) fused += scores[c][j];
-      fused /= static_cast<double>(ch);
-    }
-    const bool trig = trigger_.push(fused);
-    if (slow_path) {
-      if (tap_.enabled()) tap_.push(static_cast<float>(fused), trig);
-      if (options_.on_signal) {
-        options_.on_signal(consumed_ + i, static_cast<float>(fused), trig);
-      }
-    }
-    if (trig != run_trig) {
-      cutter_.step_run(run_trig, data, run_start, i - run_start);
-      run_trig = trig;
-      run_start = i;
-    }
-  }
-}
+      core_(params_.base, channels, std::move(options), std::move(engine)) {}
 
 std::size_t MultiStreamSession::push(
     std::span<const std::span<const float>> chunks) {
-  DR_EXPECTS(chunks.size() == channels());
-  const std::size_t n = chunks.empty() ? 0 : chunks.front().size();
-  for (const auto& chunk : chunks) DR_EXPECTS(chunk.size() == n);
-
-  // Each channel's scorer runs block-batched into its slice of the shared
-  // scratch (bit-identical to per-sample lockstep pushes — the scorers are
-  // independent automata); the fuse/trigger/cutter half then consumes the
-  // block. Memory stays O(channels * block) for any chunk size.
   const std::size_t ch = channels();
+  DR_EXPECTS(chunks.size() == ch);
+  const std::size_t n = chunks.front().size();
   channel_data_.resize(ch);
-  score_data_.resize(ch);
-  if (score_block_.size() < ch * kScoreBlock) {
-    score_block_.resize(ch * kScoreBlock);
-  }
   for (std::size_t c = 0; c < ch; ++c) {
+    DR_EXPECTS(chunks[c].size() == n);
     channel_data_[c] = chunks[c].data();
-    score_data_[c] = score_block_.data() + c * kScoreBlock;
   }
   const float* const* data = channel_data_.data();
-  const double* const* scores = score_data_.data();
-  ts::StreamingAnomalyScorer* scorers = scorers_.data();
-
-  bool run_trig = false;
-  std::size_t run_start = 0;
-  for (std::size_t base = 0; base < n; base += kScoreBlock) {
-    const std::size_t m = std::min(kScoreBlock, n - base);
-    for (std::size_t c = 0; c < ch; ++c) {
-      scorers[c].push_batch(data[c] + base, m,
-                            score_block_.data() + c * kScoreBlock);
-    }
-    fuse_block(scores, base, m, data, run_trig, run_start);
+  // One channel has nothing to fuse, whatever the rule: it runs exactly the
+  // StreamSession loop.
+  if (ch == 1) return core_.push(data, n, detail::SingleScore{});
+  if (params_.fusion == ScoreFusion::kMax) {
+    return core_.push(data, n, detail::MaxScore{ch});
   }
-  if (n > 0) cutter_.step_run(run_trig, data, run_start, n - run_start);
-  consumed_ += n;
-  return cutter_.ready();
-}
-
-std::size_t MultiStreamSession::push_scored(
-    std::span<const std::span<const double>> channel_scores,
-    std::span<const std::span<const float>> chunks) {
-  DR_EXPECTS(chunks.size() == channels());
-  DR_EXPECTS(channel_scores.size() == channels());
-  const std::size_t n = chunks.empty() ? 0 : chunks.front().size();
-  for (const auto& chunk : chunks) DR_EXPECTS(chunk.size() == n);
-  for (const auto& scores : channel_scores) DR_EXPECTS(scores.size() == n);
-
-  const std::size_t ch = channels();
-  channel_data_.resize(ch);
-  score_data_.resize(ch);
-  for (std::size_t c = 0; c < ch; ++c) channel_data_[c] = chunks[c].data();
-  const float* const* data = channel_data_.data();
-  // Block through the precomputed spans so the fused scratch stays
-  // kScoreBlock-sized (cache-resident) however large the caller's chunk is;
-  // per-block score pointers keep fuse_block's in-block indexing while the
-  // cutter sees absolute chunk offsets.
-  bool run_trig = false;
-  std::size_t run_start = 0;
-  for (std::size_t base = 0; base < n; base += kScoreBlock) {
-    const std::size_t m = std::min(kScoreBlock, n - base);
-    for (std::size_t c = 0; c < ch; ++c) {
-      score_data_[c] = channel_scores[c].data() + base;
-    }
-    fuse_block(score_data_.data(), base, m, data, run_trig, run_start);
-  }
-  if (n > 0) cutter_.step_run(run_trig, data, run_start, n - run_start);
-  consumed_ += n;
-  return cutter_.ready();
+  return core_.push(data, n, detail::MeanScore{ch});
 }
 
 std::vector<MultiEnsemble> MultiStreamSession::drain() {
-  std::vector<MultiEnsemble> out;
-  while (auto cut = cutter_.pop()) {
+  return core_.drain([](detail::StreamCutter::Cut cut) {
     MultiEnsemble ensemble;
-    ensemble.start_sample = cut->start_sample;
-    ensemble.length = cut->channels.front().size();
-    ensemble.channel_samples = std::move(cut->channels);
-    out.push_back(std::move(ensemble));
-  }
-  return out;
+    ensemble.start_sample = cut.start_sample;
+    ensemble.length = cut.channels.front().size();
+    ensemble.channel_samples = std::move(cut.channels);
+    return ensemble;
+  });
 }
 
 std::vector<MultiEnsemble> MultiStreamSession::finish() {
-  cutter_.finish();
+  core_.finish();
   return drain();
 }
 
-void MultiStreamSession::reset() {
-  for (auto& scorer : scorers_) scorer.reset();
-  trigger_.reset();
-  cutter_.reset();
-  tap_.reset();
-  consumed_ = 0;
-}
+void MultiStreamSession::reset() { core_.reset(); }
 
 std::vector<std::vector<std::vector<float>>> MultiStreamSession::featurize(
     const MultiEnsemble& ensemble) const {
   std::vector<std::vector<std::vector<float>>> out;
   out.reserve(ensemble.channel_samples.size());
   for (const auto& channel : ensemble.channel_samples) {
-    out.push_back(features_.patterns(channel));
+    out.push_back(core_.features().patterns(channel));
   }
   return out;
 }

@@ -34,22 +34,15 @@ class VirtualHost {
     return records_processed_;
   }
 
-  [[nodiscard]] std::size_t epochs_run() const {
-    const common::LockGuard lock(mu_);
-    return epochs_run_;
-  }
-
   void account(const SegmentRunStats& stats) {
     const common::LockGuard lock(mu_);
     records_processed_ += stats.records_in;
-    ++epochs_run_;
   }
 
  private:
   std::string name_;
   mutable common::Mutex mu_;
   std::size_t records_processed_ DR_GUARDED_BY(mu_) = 0;
-  std::size_t epochs_run_ DR_GUARDED_BY(mu_) = 0;
 };
 
 /// Deploys segments onto virtual hosts and supports live relocation.

@@ -56,10 +56,6 @@ Operator& Pipeline::at(std::size_t i) {
   return *ops_[i];
 }
 
-std::vector<OperatorPtr> Pipeline::release_operators() {
-  return std::exchange(ops_, {});
-}
-
 std::vector<Record> run_pipeline(Pipeline& pipeline, std::vector<Record> input) {
   VectorEmitter out;
   pipeline.push_all(std::move(input), out);

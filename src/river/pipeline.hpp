@@ -44,9 +44,6 @@ class Pipeline {
   /// Access for tests and the pipeline manager.
   [[nodiscard]] Operator& at(std::size_t i);
 
-  /// Remove all operators (used when relocating a segment).
-  std::vector<OperatorPtr> release_operators();
-
  private:
   void run_from(std::size_t stage, Record rec, Emitter& sink);
 

@@ -27,7 +27,6 @@ Segment::Segment(std::string name, Pipeline pipeline,
 SegmentRunStats Segment::run() {
   SegmentRunStats stats;
   ChannelEmitter sink(output_);
-  std::size_t out_before = 0;
 
   class CountingEmitter final : public Emitter {
    public:
@@ -42,7 +41,6 @@ SegmentRunStats Segment::run() {
     Emitter& inner_;
     std::size_t& counter_;
   } counting(sink, stats.records_out);
-  (void)out_before;
 
   Record rec;
   while (true) {
@@ -72,16 +70,11 @@ SegmentRunStats Segment::run() {
           pipeline_.push(std::move(close_rec), counting);
         }
         pipeline_.finish(counting);
-        if (clean) {
-          output_->close();
-          stats.cause = SegmentStopCause::kUpstreamClosed;
-        } else {
-          // Propagate the abnormal end downstream after the forced closes so
-          // the next segment can resynchronize too -- but since we already
-          // emitted well-formed closes, a clean close is correct here.
-          output_->close();
-          stats.cause = SegmentStopCause::kUpstreamDisconnected;
-        }
+        // An abnormal end still closes the output cleanly: the forced closes
+        // above already left every scope well-formed downstream.
+        output_->close();
+        stats.cause = clean ? SegmentStopCause::kUpstreamClosed
+                            : SegmentStopCause::kUpstreamDisconnected;
         return stats;
       }
     }

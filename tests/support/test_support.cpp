@@ -204,6 +204,20 @@ std::vector<float> noise_with_bursts(std::size_t n, std::size_t start,
   return x;
 }
 
+std::vector<float> bursts_with_digital_silence(std::size_t n, unsigned seed) {
+  auto x = noise_with_bursts(n, n / 8, n / 8, seed);
+  const auto second = noise_with_bursts(n, n / 2, n / 8, seed + 1);
+  for (std::size_t i = n / 2; i < (5 * n) / 8; ++i) x[i] = second[i];
+  const auto silence = [&](std::size_t from, std::size_t to) {
+    std::fill(x.begin() + static_cast<std::ptrdiff_t>(std::min(from, n)),
+              x.begin() + static_cast<std::ptrdiff_t>(std::min(to, n)), 0.0F);
+  };
+  silence(n / 4, (3 * n) / 8);
+  silence((5 * n) / 8, (3 * n) / 4);
+  silence((7 * n) / 8, n);
+  return x;
+}
+
 std::vector<float> periodic_with_anomaly(std::size_t n, std::size_t period,
                                          std::size_t anomaly_at) {
   std::vector<float> xs(n);

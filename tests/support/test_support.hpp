@@ -141,6 +141,12 @@ std::vector<float> noise_with_tone(std::size_t n, std::size_t tone_start,
 std::vector<float> noise_with_bursts(std::size_t n, std::size_t start,
                                      std::size_t len, unsigned seed);
 
+/// noise_with_bursts with digital silence (exact zeros) after each burst and
+/// at the end: as nonzero scores slide out of the scorer's moving-average
+/// window over a silent stretch, its running sum leaves tiny negative
+/// smoothed scores instead of exact zeros.
+std::vector<float> bursts_with_digital_silence(std::size_t n, unsigned seed);
+
 /// Periodic signal with one planted anomaly (a phase-inverted cycle).
 std::vector<float> periodic_with_anomaly(std::size_t n, std::size_t period,
                                          std::size_t anomaly_at);

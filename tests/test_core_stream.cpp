@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/extractor.hpp"
@@ -429,7 +430,6 @@ std::vector<float> perturbed_channel(const std::vector<float>& base,
 TEST(MultiStreamSession, ChunkSweepBitIdenticalToMultiExtractor) {
   core::MultiStreamParams mp;
   mp.base = small_params();
-  mp.score_threads = 1;
   const core::MultiStreamExtractor extractor(mp);
 
   const auto a = random_signal_with_events(60000, 31);
@@ -467,27 +467,100 @@ TEST(MultiStreamSession, ChunkSweepBitIdenticalToMultiExtractor) {
   }
 }
 
-TEST(MultiStreamSession, ThreadedExtractorStillBitIdentical) {
-  // The extractor's pre-scored path drives the session via push_scored; it
-  // must agree with the serial (lockstep push) path exactly.
-  core::MultiStreamParams serial;
-  serial.base = small_params();
-  serial.score_threads = 1;
-  core::MultiStreamParams threaded = serial;
-  threaded.score_threads = 2;
+namespace {
 
-  const auto a = random_signal_with_events(60000, 41);
-  const auto b = perturbed_channel(a, 42);
-  const std::vector<std::span<const float>> streams = {a, b};
+/// Everything a session exposes per sample: the unbounded tap plus the
+/// on_signal series, and the ensembles (one channel's cuts).
+struct SessionTrace {
+  std::vector<std::pair<std::size_t, std::vector<float>>> ensembles;
+  std::vector<float> tap_scores;
+  std::vector<std::uint8_t> tap_trigger;
+  std::vector<std::size_t> signal_index;
+  std::vector<float> signal_score;
+  std::vector<bool> signal_trigger;
+};
 
-  const auto s = core::MultiStreamExtractor(serial).extract(streams, true);
-  const auto t = core::MultiStreamExtractor(threaded).extract(streams, true);
-  ASSERT_EQ(s.ensembles.size(), t.ensembles.size());
-  for (std::size_t i = 0; i < s.ensembles.size(); ++i) {
-    EXPECT_EQ(s.ensembles[i].start_sample, t.ensembles[i].start_sample);
-    ASSERT_EQ(s.ensembles[i].channel_samples, t.ensembles[i].channel_samples);
+core::SessionOptions traced_options(SessionTrace& trace) {
+  core::SessionOptions options;
+  options.tap_capacity = core::SignalTap::kUnbounded;
+  options.on_signal = [&trace](std::size_t i, float score, bool trig) {
+    trace.signal_index.push_back(i);
+    trace.signal_score.push_back(score);
+    trace.signal_trigger.push_back(trig);
+  };
+  return options;
+}
+
+/// Feed `xs` to `session` in `chunk`-sized pushes (0 = whole signal) through
+/// `push_chunk`, draining after every push; `cut` maps an ensemble to its
+/// (start, samples).
+template <typename Session, typename Push, typename Cut>
+void trace_session(Session& session, std::span<const float> xs,
+                   std::size_t chunk, Push push_chunk, Cut cut,
+                   SessionTrace& trace) {
+  std::size_t pos = 0;
+  while (pos < xs.size()) {
+    const std::size_t n = chunk == 0 ? xs.size() : std::min(chunk, xs.size() - pos);
+    push_chunk(xs.subspan(pos, n));
+    for (auto& e : session.drain()) trace.ensembles.push_back(cut(std::move(e)));
+    pos += n;
   }
-  ASSERT_EQ(s.fused_scores, t.fused_scores);
+  for (auto& e : session.finish()) trace.ensembles.push_back(cut(std::move(e)));
+  trace.tap_scores = session.tap().scores();
+  trace.tap_trigger = session.tap().trigger();
+}
+
+}  // namespace
+
+TEST(MultiStreamSession, OneChannelEqualsStreamSessionSampleForSample) {
+  // The shared session core: a one-channel MultiStreamSession runs exactly
+  // StreamSession's loop, whatever the fusion rule — same ensembles, same
+  // tap, same observer series, under every chunking. The digital-silence
+  // signal drives the smoothed score slightly negative, which a fold seeded
+  // with 0.0 would clamp.
+  const auto params = small_params();
+  const std::vector<std::vector<float>> signals = {
+      random_signal_with_events(60000, 51),
+      testsupport::bursts_with_digital_silence(60000, 52)};
+  for (const auto& xs : signals) {
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{256}, std::size_t{900}, std::size_t{0}}) {
+      SessionTrace want;
+      core::StreamSession single(params, traced_options(want));
+      trace_session(
+          single, xs, chunk,
+          [&](std::span<const float> c) { single.push(c); },
+          [](river::Ensemble e) {
+            return std::pair{e.start_sample, std::move(e.samples)};
+          },
+          want);
+      ASSERT_FALSE(want.ensembles.empty());
+
+      for (const auto fusion : {core::ScoreFusion::kMax, core::ScoreFusion::kMean}) {
+        core::MultiStreamParams mp;
+        mp.base = params;
+        mp.fusion = fusion;
+        SessionTrace got;
+        core::MultiStreamSession multi(mp, 1, traced_options(got));
+        trace_session(
+            multi, xs, chunk,
+            [&](std::span<const float> c) {
+              const std::vector<std::span<const float>> chunks = {c};
+              multi.push(chunks);
+            },
+            [](core::MultiEnsemble e) {
+              return std::pair{e.start_sample, std::move(e.channel_samples[0])};
+            },
+            got);
+        ASSERT_EQ(got.ensembles, want.ensembles) << "chunk=" << chunk;
+        ASSERT_EQ(got.tap_scores, want.tap_scores) << "chunk=" << chunk;
+        ASSERT_EQ(got.tap_trigger, want.tap_trigger) << "chunk=" << chunk;
+        ASSERT_EQ(got.signal_index, want.signal_index) << "chunk=" << chunk;
+        ASSERT_EQ(got.signal_score, want.signal_score) << "chunk=" << chunk;
+        ASSERT_EQ(got.signal_trigger, want.signal_trigger) << "chunk=" << chunk;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
