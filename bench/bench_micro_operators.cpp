@@ -544,6 +544,44 @@ void run_json_sweep() {
     });
   }
 
+  // The scheduling round on its own: 500 push-fed stations on one serial
+  // lane, each op pushes one record to the next station in turn and runs
+  // one process_available(). The session work per op is one record, so
+  // ns/op minus a record's share of stream_push_1s is the cost of a round
+  // that has one ready station among 500 idle ones.
+  {
+    constexpr std::size_t kStations = 500;
+    const core::PipelineParams params;
+    const auto signal = random_signal(
+        static_cast<std::size_t>(params.sample_rate) * 4, 4500);
+    const auto engine = std::make_shared<const core::SpectralEngine>(params);
+    core::SchedulerOptions options;
+    options.threads = 1;
+    core::SessionScheduler scheduler(std::move(options));
+    for (std::size_t s = 0; s < kStations; ++s) {
+      core::StationConfig config;
+      config.params = params;
+      config.policy = core::BackpressurePolicy::kDropOldest;
+      config.engine = engine;
+      char name[16];
+      std::snprintf(name, sizeof name, "s%zu", s);
+      scheduler.add_station(name, std::make_shared<river::NullEnsembleSink>(),
+                            config);
+    }
+    const std::size_t records = signal.size() / params.record_size;
+    std::size_t op = 0;
+    record("sched_push_500stations", params.record_size, [&] {
+      const std::size_t s = op % kStations;
+      const std::size_t r = (op / kStations + s) % records;
+      scheduler.push(s,
+                     std::span<const float>(
+                         signal.data() + r * params.record_size,
+                         params.record_size));
+      benchmark::DoNotOptimize(scheduler.process_available());
+      ++op;
+    });
+  }
+
   // Archive replay: 2 minutes of audio (4 x 30 s clip) archived once into a
   // rotating segment store outside the timed region, then re-extracted per
   // op through SegmentStoreSource + StreamSession — the month-equivalent

@@ -33,10 +33,15 @@ MultiExtractionResult MultiStreamExtractor::extract(
 
 std::vector<std::vector<std::vector<float>>> MultiStreamExtractor::featurize(
     const MultiEnsemble& ensemble) const {
+  return featurize_channels(features_, ensemble);
+}
+
+std::vector<std::vector<std::vector<float>>> featurize_channels(
+    const FeatureExtractor& features, const MultiEnsemble& ensemble) {
   std::vector<std::vector<std::vector<float>>> out;
   out.reserve(ensemble.channel_samples.size());
   for (const auto& channel : ensemble.channel_samples) {
-    out.push_back(features_.patterns(channel));
+    out.push_back(features.patterns(channel));
   }
   return out;
 }

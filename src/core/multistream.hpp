@@ -86,6 +86,12 @@ class MultiStreamExtractor {
   FeatureExtractor features_;  ///< shares the engine; powers featurize()
 };
 
+/// Spectral patterns per channel of one multi-ensemble: result[s] holds
+/// channel s's patterns. The one body behind MultiStreamExtractor::featurize
+/// and MultiStreamSession::featurize.
+[[nodiscard]] std::vector<std::vector<std::vector<float>>> featurize_channels(
+    const FeatureExtractor& features, const MultiEnsemble& ensemble);
+
 /// Append context readings to a feature pattern. Context values are scaled
 /// by `context_gain` relative to the pattern's RMS so the side channel
 /// informs rather than dominates the Euclidean distance.

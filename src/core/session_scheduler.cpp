@@ -1,6 +1,6 @@
 #include "core/session_scheduler.hpp"
 
-#include <chrono>
+#include <algorithm>
 
 #include "common/contracts.hpp"
 #include "river/segment_store.hpp"
@@ -138,21 +138,33 @@ std::size_t SessionScheduler::add_station(
                           std::move(config));
 }
 
-void SessionScheduler::notify_work() {
+void SessionScheduler::mark_ready(std::size_t station) {
+  bool wake = false;
   {
     const common::LockGuard lk(work_mu_);
-    ++work_epoch_;
+    // Sized on first use rather than per add_station: set-up stays free of
+    // scheduler locking and allocation. Stations are only added before
+    // producers start, so stations_ is stable here.
+    if (station >= on_ready_.size()) on_ready_.resize(stations_.size(), 0);
+    if (on_ready_[station] != 0) return;
+    on_ready_[station] = 1;
+    // run() sleeps only while the list is empty, so only the push that
+    // makes it non-empty needs to wake it.
+    wake = ready_.empty();
+    ready_.push_back(station);
   }
-  work_cv_.notify_all();
+  if (wake) work_cv_.notify_one();
 }
 
-std::size_t SessionScheduler::enqueue(Station& st,
+std::size_t SessionScheduler::enqueue(std::size_t station,
                                       std::span<const float> samples) {
+  Station& st = *stations_.at(station);
   if (samples.empty()) return 0;
   // A chunk must individually fit: the queue bound is hard, never "capacity
   // plus one oversized chunk".
   DR_EXPECTS(samples.size() <= st.config.queue_capacity_samples);
   std::size_t dropped = 0;
+  bool was_empty = false;
   {
     common::UniqueLock lk(st.mu);
     DR_EXPECTS(!st.closed);
@@ -174,31 +186,39 @@ std::size_t SessionScheduler::enqueue(Station& st,
         st.queue.pop_front();
       }
     }
+    was_empty = st.queue.empty();
     st.queue.emplace_back(samples.begin(), samples.end());
     st.queued_samples += samples.size();
     st.samples_in += samples.size();
     st.samples_dropped += dropped;
   }
-  notify_work();
+  // Only a push into an empty queue needs the ready list: a backlog is on
+  // it already, or in the running round, whose pass either drains it or
+  // reports it ready and is put back.
+  if (was_empty) mark_ready(station);
   return dropped;
 }
 
 std::size_t SessionScheduler::push(std::size_t station,
                                    std::span<const float> samples) {
-  return enqueue(*stations_.at(station), samples);
+  return enqueue(station, samples);
 }
 
-void SessionScheduler::close_internal(Station& st) {
+void SessionScheduler::close_internal(std::size_t station) {
+  Station& st = *stations_.at(station);
+  bool first_close = false;
   {
     const common::LockGuard lk(st.mu);
+    first_close = !st.closed;
     st.closed = true;
   }
   st.room.notify_all();
-  notify_work();
+  // A repeated close must not requeue a station that already finished.
+  if (first_close) mark_ready(station);
 }
 
 void SessionScheduler::close_station(std::size_t station) {
-  close_internal(*stations_.at(station));
+  close_internal(station);
 }
 
 void SessionScheduler::reconfigure(std::size_t station,
@@ -213,7 +233,6 @@ void SessionScheduler::reconfigure(std::size_t station,
     const common::LockGuard lk(st.mu);
     st.pending_params = params;
   }
-  notify_work();
 }
 
 void SessionScheduler::deliver(Station& st,
@@ -225,7 +244,7 @@ void SessionScheduler::deliver(Station& st,
   st.ensembles_out += count;
 }
 
-void SessionScheduler::process_station(Station& st) {
+SessionScheduler::Served SessionScheduler::process_station(Station& st) {
   st.deficit += st.quantum;
   bool drained = false;
   for (;;) {
@@ -271,72 +290,85 @@ void SessionScheduler::process_station(Station& st) {
     st.sink->finish();
   }
 
-  {
-    const common::LockGuard lk(st.mu);
-    st.session_buffered = st.session->buffered_samples();
-    if (close_now) st.finished = true;
+  const common::LockGuard lk(st.mu);
+  st.session_buffered = st.session->buffered_samples();
+  if (close_now) {
+    st.finished = true;
+    return Served::kFinished;
   }
+  // Credit ran out with chunks still queued, or a close is still pending:
+  // the station needs the next round even if no producer touches it.
+  const bool ready = !st.queue.empty() || (st.closed && !st.finished);
+  return ready ? Served::kReady : Served::kIdle;
 }
 
 bool SessionScheduler::process_available() {
-  runnable_.clear();
-  for (std::size_t i = 0; i < stations_.size(); ++i) {
-    Station& st = *stations_[i];
-    const common::LockGuard lk(st.mu);
-    if (st.finished) continue;
-    if (!st.queue.empty() || st.closed) runnable_.push_back(i);
+  {
+    const common::LockGuard lk(work_mu_);
+    round_.clear();
+    round_.swap(ready_);
+    for (const std::size_t id : round_) on_ready_[id] = 0;
+    if (round_.empty()) return finished_ < stations_.size();
   }
-  if (!runnable_.empty()) {
-    runner_->run(runnable_.size(), [this](std::size_t k) {
-      process_station(*stations_[runnable_[k]]);
+  // Ascending ids: the same service order as a scan over every station.
+  std::sort(round_.begin(), round_.end());
+  // A pass that throws (a failing sink) or never ran stays ready, so the
+  // next round retries it as a scan would.
+  served_.assign(round_.size(), Served::kReady);
+  try {
+    runner_->run(round_.size(), [this](std::size_t k) {
+      served_[k] = process_station(*stations_[round_[k]]);
     });
-    rounds_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.on_round) options_.on_round(stats());
+  } catch (...) {
+    (void)requeue_round();
+    throw;
   }
-  for (const auto& st : stations_) {
-    const common::LockGuard lk(st->mu);
-    if (!st->finished) return true;
-  }
-  return false;
+  rounds_.fetch_add(1, std::memory_order_relaxed);
+  const bool unfinished = requeue_round();
+  if (options_.on_round) options_.on_round(stats());
+  return unfinished;
 }
 
-void SessionScheduler::reader_loop(Station& st) {
+bool SessionScheduler::requeue_round() {
+  const common::LockGuard lk(work_mu_);
+  for (std::size_t k = 0; k < round_.size(); ++k) {
+    const std::size_t id = round_[k];
+    if (served_[k] == Served::kFinished) {
+      ++finished_;
+    } else if (served_[k] == Served::kReady && on_ready_[id] == 0) {
+      on_ready_[id] = 1;
+      ready_.push_back(id);
+    }
+  }
+  return finished_ < stations_.size();
+}
+
+void SessionScheduler::reader_loop(std::size_t station) {
+  Station& st = *stations_[station];
   std::vector<float> buf(st.chunk_samples);
   while (!shutdown_.load(std::memory_order_relaxed)) {
     const std::size_t n = st.source->read(buf);
     if (n == 0) break;
-    enqueue(st, std::span<const float>(buf.data(), n));
+    enqueue(station, std::span<const float>(buf.data(), n));
   }
-  close_internal(st);
+  close_internal(station);
 }
 
 void SessionScheduler::run() {
   DR_EXPECTS(!running_);
   running_ = true;
   readers_.reserve(stations_.size());
-  for (auto& st : stations_) {
-    if (st->source != nullptr) {
-      readers_.emplace_back([this, s = st.get()] { reader_loop(*s); });
+  for (std::size_t s = 0; s < stations_.size(); ++s) {
+    if (stations_[s]->source != nullptr) {
+      readers_.emplace_back([this, s] { reader_loop(s); });
     }
   }
-  for (;;) {
-    std::uint64_t epoch_before = 0;
-    {
-      const common::LockGuard lk(work_mu_);
-      epoch_before = work_epoch_;
-    }
-    if (!process_available()) break;
-    // Nothing was runnable this pass: sleep until a producer enqueues,
-    // closes, or reconfigures (epoch bump, read before the pass so no
-    // wakeup is lost), with a timeout safety net.
-    if (runnable_.empty()) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
-      common::UniqueLock lk(work_mu_);
-      while (work_epoch_ == epoch_before &&
-             work_cv_.wait_until(lk, deadline) != std::cv_status::timeout) {
-      }
-    }
+  while (process_available()) {
+    // Every station with work is on the ready list (a round puts back what
+    // it left unfinished; producers add the rest), so an empty list means
+    // idle: sleep until a push or close adds a station.
+    common::UniqueLock lk(work_mu_);
+    while (ready_.empty()) work_cv_.wait(lk);
   }
   for (auto& t : readers_) t.join();
   readers_.clear();

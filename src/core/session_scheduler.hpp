@@ -9,6 +9,12 @@
 // input gets a `quantum_samples` credit and processes whole chunks while
 // its credit lasts, so a chatty station cannot starve a quiet one.
 //
+// A round visits only the stations on the ready list: those that got input
+// or were closed since they were last served, and those a round left with
+// a backlog (credit ran out) or a pending close. It serves them in
+// ascending station id, so a round costs O(ready stations), not
+// O(stations), and an idle host sleeps without scanning anything.
+//
 // Ingest is decoupled from processing by a per-station bounded queue with
 // an explicit backpressure policy:
 //   kBlock      — the producer (reader thread or push() caller) waits for
@@ -31,6 +37,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <filesystem>
 #include <functional>
@@ -168,9 +175,9 @@ class SessionScheduler {
   /// to return.
   void run();
 
-  /// One deficit-round-robin scheduling round over the stations that have
-  /// queued work (or are ready to finish). Returns true while any station
-  /// is unfinished. Alternative to run() for callers that interleave their
+  /// One deficit-round-robin scheduling round over the ready stations (queued
+  /// work, or closed and ready to finish), in ascending id. Returns true
+  /// while any station is unfinished. Alternative to run() for callers that interleave their
   /// own work or drive the scheduler deterministically (tests).
   bool process_available();
 
@@ -187,28 +194,49 @@ class SessionScheduler {
  private:
   struct Station;
 
+  /// What one pass over a station left behind.
+  enum class Served : std::uint8_t {
+    kIdle,     ///< queue drained, not closed: waits for a producer
+    kReady,    ///< chunks still queued (credit ran out) or close pending
+    kFinished  ///< finished in this pass
+  };
+
   std::size_t add_station_impl(std::string name,
                                std::shared_ptr<river::SampleSource> source,
                                std::shared_ptr<river::EnsembleSink> sink,
                                StationConfig config);
-  std::size_t enqueue(Station& st, std::span<const float> samples);
-  void close_internal(Station& st);
-  void process_station(Station& st);
+  std::size_t enqueue(std::size_t station, std::span<const float> samples);
+  void close_internal(std::size_t station);
+  Served process_station(Station& st);
   void deliver(Station& st, std::vector<river::Ensemble> ensembles);
-  void reader_loop(Station& st);
-  void notify_work();
+  void reader_loop(std::size_t station);
+  /// Put the station on the ready list unless it is already there. Called
+  /// with no station lock held.
+  void mark_ready(std::size_t station) DR_EXCLUDES(work_mu_);
+  /// After a round: count the stations it finished and put back the ones
+  /// still ready. Returns true while any station is unfinished.
+  bool requeue_round() DR_EXCLUDES(work_mu_);
 
   SchedulerOptions options_;
   std::unique_ptr<common::TaskRunner> runner_;
   std::vector<std::unique_ptr<Station>> stations_;
-  std::vector<std::size_t> runnable_;  ///< scratch: station ids this round
+  // Scratch of the thread in process_available(): this round's station ids
+  // and what each pass left behind (workers write distinct elements).
+  std::vector<std::size_t> round_;
+  std::vector<Served> served_;
   std::atomic<std::size_t> rounds_{0};
   bool running_ = false;
   std::atomic<bool> shutdown_{false};  ///< destructor unblocks producers
 
+  // Ready list: every station with queued chunks or a pending close is on
+  // it (or in the round being run). Leaf lock: no station mu is held while
+  // work_mu_ is taken.
   common::Mutex work_mu_;
-  common::CondVar work_cv_;
-  std::uint64_t work_epoch_ DR_GUARDED_BY(work_mu_) = 0;
+  common::CondVar work_cv_;  ///< run() waits here while ready_ is empty
+  std::vector<std::size_t> ready_ DR_GUARDED_BY(work_mu_);
+  /// on_ready_[id] != 0 iff id is in ready_; sized on first use.
+  std::vector<char> on_ready_ DR_GUARDED_BY(work_mu_);
+  std::size_t finished_ DR_GUARDED_BY(work_mu_) = 0;  ///< stations finished
   std::vector<std::thread> readers_;
 };
 

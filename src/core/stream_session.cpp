@@ -302,12 +302,7 @@ void MultiStreamSession::reset() { core_.reset(); }
 
 std::vector<std::vector<std::vector<float>>> MultiStreamSession::featurize(
     const MultiEnsemble& ensemble) const {
-  std::vector<std::vector<std::vector<float>>> out;
-  out.reserve(ensemble.channel_samples.size());
-  for (const auto& channel : ensemble.channel_samples) {
-    out.push_back(core_.features().patterns(channel));
-  }
-  return out;
+  return featurize_channels(core_.features(), ensemble);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,9 +9,13 @@
 //      exact: pushed == consumed + dropped + queued at every instant.
 //   3. Live reconfigure through the scheduler equals reconfiguring a
 //      hand-pumped session at the same stream position.
+//   4. A round serves exactly the stations a scan over every station would
+//      pick, in ascending id, although it only visits the ready list.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -319,4 +323,230 @@ TEST(SessionScheduler, WeightedQuantaSplitServiceProportionally) {
     EXPECT_EQ(st.samples_consumed, kChunks * kChunk) << st.name;
     EXPECT_TRUE(st.finished) << st.name;
   }
+}
+
+namespace {
+
+/// Logs which station each sink callback came from, in call order.
+class OrderLoggingSink final : public river::EnsembleSink {
+ public:
+  OrderLoggingSink(std::size_t station, std::vector<std::size_t>& log)
+      : station_(station), log_(log) {}
+  void accept(river::Ensemble) override { log_.push_back(station_); }
+  void finish() override { log_.push_back(station_); }
+
+ private:
+  std::size_t station_;
+  std::vector<std::size_t>& log_;
+};
+
+}  // namespace
+
+TEST(SessionScheduler, ReadySetMatchesFullScan) {
+  // A seeded script of push / close / reconfigure over 64 push-fed stations,
+  // one round after each step. Before every round the test computes the set
+  // a scan over every station would serve: unfinished, and queued input or
+  // closed. Every chunk fits in the smallest quantum, so a served station
+  // always consumes a chunk or finishes, and "served" is observable as
+  // exactly those stations changing.
+  const auto p1 = small_params();
+  auto p2 = p1;
+  p2.merge_gap_samples = 900;
+  p2.min_ensemble_samples = 800;
+  ASSERT_TRUE(core::reconfigure_compatible(p1, p2));
+
+  constexpr std::size_t kStations = 64;
+  constexpr std::size_t kSignal = 24000;
+  constexpr std::size_t kCapacity = 3000;
+  constexpr std::size_t kMaxChunk = 600;
+  constexpr std::size_t kSteps = 400;
+
+  core::SchedulerOptions options;
+  options.threads = 1;
+  options.quantum_samples = 1200;
+  core::SessionScheduler scheduler(options);
+
+  std::vector<std::size_t> accept_log;
+  std::vector<std::vector<float>> signals;
+  std::vector<core::BackpressurePolicy> policy;
+  const std::size_t quanta[] = {0, 600, 1800, 3000};
+  for (std::size_t s = 0; s < kStations; ++s) {
+    core::StationConfig config;
+    config.params = p1;
+    config.policy = s % 2 == 0 ? core::BackpressurePolicy::kBlock
+                               : core::BackpressurePolicy::kDropOldest;
+    config.queue_capacity_samples = kCapacity;
+    config.quantum_samples = quanta[s % 4];
+    policy.push_back(config.policy);
+    signals.push_back(random_signal_with_events(kSignal, 500 + unsigned(s)));
+    ASSERT_EQ(scheduler.add_station(
+                  "st" + std::to_string(s),
+                  std::make_shared<OrderLoggingSink>(s, accept_log), config),
+              s);
+  }
+
+  // Every 16th station never receives input; two of them close before the
+  // first round, the others somewhere in the script.
+  const auto never_fed = [](std::size_t s) { return s % 16 == 5; };
+  std::vector<bool> closed(kStations, false);
+  for (const std::size_t s : {std::size_t{5}, std::size_t{21}}) {
+    scheduler.close_station(s);
+    closed[s] = true;
+  }
+
+  std::mt19937 rng(20261019U);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::vector<std::size_t> cursor(kStations, 0);
+  bool all_finished = false;
+  for (std::size_t step = 0; !all_finished; ++step) {
+    auto before = scheduler.stats();
+    const std::size_t ops = step < kSteps ? pick(9) : 0;
+    for (std::size_t op = 0; op < ops; ++op) {
+      const std::size_t s = pick(kStations);
+      const std::size_t kind = pick(20);
+      if (kind < 16 && !closed[s] && !never_fed(s) && cursor[s] < kSignal) {
+        const std::size_t n =
+            std::min(1 + pick(kMaxChunk), kSignal - cursor[s]);
+        // kBlock would wait for room that only a round can free.
+        if (policy[s] == core::BackpressurePolicy::kBlock &&
+            before.stations[s].queued_samples + n > kCapacity) {
+          continue;
+        }
+        scheduler.push(s, std::span<const float>(
+                              signals[s].data() + cursor[s], n));
+        cursor[s] += n;
+        before.stations[s].queued_samples += n;
+      } else if (kind < 18) {
+        scheduler.close_station(s);  // closing twice is a no-op
+        closed[s] = true;
+      } else if (kind >= 18) {
+        scheduler.reconfigure(s, pick(2) == 0 ? p1 : p2);
+      }
+    }
+    if (step >= kSteps) {
+      for (std::size_t s = 0; s < kStations; ++s) {
+        if (!closed[s]) scheduler.close_station(s);
+        closed[s] = true;
+      }
+    }
+
+    before = scheduler.stats();
+    std::vector<std::size_t> want;
+    for (std::size_t s = 0; s < kStations; ++s) {
+      const auto& st = before.stations[s];
+      if (!st.finished && (st.queued_samples > 0 || closed[s])) {
+        want.push_back(s);
+      }
+    }
+
+    accept_log.clear();
+    const bool more = scheduler.process_available();
+    const auto after = scheduler.stats();
+
+    std::vector<std::size_t> served;
+    for (std::size_t s = 0; s < kStations; ++s) {
+      if (after.stations[s].samples_consumed !=
+              before.stations[s].samples_consumed ||
+          after.stations[s].finished != before.stations[s].finished) {
+        served.push_back(s);
+      }
+    }
+    ASSERT_EQ(served, want) << "step " << step;
+    ASSERT_TRUE(std::is_sorted(accept_log.begin(), accept_log.end()))
+        << "step " << step;
+    ASSERT_EQ(after.rounds, before.rounds + (want.empty() ? 0U : 1U))
+        << "step " << step;
+
+    all_finished = std::all_of(after.stations.begin(), after.stations.end(),
+                               [](const auto& st) { return st.finished; });
+    ASSERT_EQ(more, !all_finished) << "step " << step;
+  }
+
+  // Finished stays finished: further rounds serve nobody.
+  EXPECT_FALSE(scheduler.process_available());
+  const auto final_stats = scheduler.stats();
+  for (std::size_t s = 0; s < kStations; ++s) {
+    const auto& st = final_stats.stations[s];
+    EXPECT_EQ(st.samples_in,
+              st.samples_consumed + st.samples_dropped + st.queued_samples);
+    EXPECT_EQ(st.queued_samples, 0U);
+    if (never_fed(s)) {
+      EXPECT_EQ(st.samples_in, 0U);
+    }
+  }
+}
+
+namespace {
+
+/// Throws from its first accept(), then collects like CollectingEnsembleSink.
+class ThrowOnceSink final : public river::EnsembleSink {
+ public:
+  void accept(river::Ensemble ensemble) override {
+    if (!thrown_) {
+      thrown_ = true;
+      throw std::runtime_error("sink failure");
+    }
+    ensembles.push_back(std::move(ensemble));
+  }
+  std::vector<river::Ensemble> ensembles;
+
+ private:
+  bool thrown_ = false;
+};
+
+}  // namespace
+
+TEST(SessionScheduler, ThrowingSinkLeavesItsStationReady) {
+  // A round that throws must not forget its stations: the caller may keep
+  // driving process_available(), and every station it served (or never got
+  // to) is served again, so the round after the throw resumes the backlog
+  // and the host still runs to completion.
+  const auto params = small_params();
+  constexpr std::size_t kChunk = 600;
+  core::SchedulerOptions options;
+  options.threads = 1;
+  options.quantum_samples = kChunk;
+  core::SessionScheduler scheduler(options);
+
+  core::StationConfig config;
+  config.params = params;
+  config.queue_capacity_samples = 60000;
+  auto failing = std::make_shared<ThrowOnceSink>();
+  auto healthy = std::make_shared<river::CollectingEnsembleSink>();
+  const auto bad = scheduler.add_station("bad", failing, config);
+  const auto good = scheduler.add_station("good", healthy, config);
+
+  const auto xs = random_signal_with_events(60000, 7);
+  for (std::size_t pos = 0; pos < xs.size(); pos += kChunk) {
+    const std::span<const float> chunk(xs.data() + pos, kChunk);
+    scheduler.push(bad, chunk);
+    scheduler.push(good, chunk);
+  }
+  scheduler.close_station(bad);
+  scheduler.close_station(good);
+
+  // Bounded: a station dropped from scheduling would keep "more" true.
+  std::size_t throws = 0;
+  bool more = true;
+  for (std::size_t round = 0; more && round < 1000; ++round) {
+    try {
+      more = scheduler.process_available();
+    } catch (const std::runtime_error&) {
+      ++throws;
+    }
+  }
+  EXPECT_FALSE(more);
+  EXPECT_EQ(throws, 1U);
+  const auto stats = scheduler.stats();
+  for (const auto& st : stats.stations) {
+    EXPECT_TRUE(st.finished) << st.name;
+    EXPECT_EQ(st.samples_consumed, xs.size()) << st.name;
+  }
+  const auto want = core::EnsembleExtractor(params).extract(xs).ensembles;
+  ASSERT_FALSE(want.empty());
+  // The ensemble whose accept() threw is lost; the rest arrive in order.
+  EXPECT_EQ(failing->ensembles.size() + 1, want.size());
+  expect_same_ensembles(healthy->ensembles, want, "good");
 }
