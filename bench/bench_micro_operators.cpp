@@ -1,8 +1,8 @@
 // Ablation A5: micro-benchmarks of the individual substrate operations,
 // using google-benchmark. Covers the DFT (planned vs legacy unplanned vs
-// naive), SAX anomaly scoring, the trigger, full-clip extraction (single-
-// and multi-stream), feature extraction, MESO
-// training/query, wire encode/decode, and channel throughput.
+// naive), SAX anomaly scoring, the trigger, full-clip extraction, feature
+// extraction, MESO training/query, wire encode/decode, and channel
+// throughput.
 //
 // In addition to the google-benchmark cases, main() runs a small adaptive
 // timing sweep over the spectral hot path and writes the results as
@@ -21,7 +21,6 @@
 #include "bench_util.hpp"
 #include "core/extractor.hpp"
 #include "core/features.hpp"
-#include "core/multistream.hpp"
 #include "core/session_scheduler.hpp"
 #include "core/spectral_engine.hpp"
 #include "core/stream_session.hpp"
@@ -64,22 +63,6 @@ const synth::ClipRecording& cached_clip() {
         {synth::SpeciesId::kNOCA, synth::SpeciesId::kBCCH});
   }();
   return clip;
-}
-
-/// A second channel for the multi-stream benches: the cached clip with a
-/// slight gain/noise perturbation, like a second microphone of one station.
-const std::vector<float>& cached_second_channel() {
-  static const std::vector<float> channel = [] {
-    const auto& base = cached_clip().clip.samples;
-    std::mt19937 gen(2718);
-    std::normal_distribution<float> noise(0.0F, 0.002F);
-    std::vector<float> out(base.size());
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      out[i] = 0.9F * base[i] + noise(gen);
-    }
-    return out;
-  }();
-  return channel;
 }
 
 std::vector<dsp::Cplx> random_cplx(std::size_t n, unsigned seed) {
@@ -210,21 +193,6 @@ void BM_ExtractClip30s(benchmark::State& state) {
                           static_cast<std::int64_t>(clip.clip.samples.size()));
 }
 BENCHMARK(BM_ExtractClip30s)->Unit(benchmark::kMillisecond);
-
-// Two-channel extraction (max fusion) through one MultiStreamSession.
-void BM_MultiStreamExtract2ch(benchmark::State& state) {
-  const core::MultiStreamExtractor extractor(core::MultiStreamParams{});
-  const auto& a = cached_clip().clip.samples;
-  const auto& b = cached_second_channel();
-  const std::vector<std::span<const float>> streams = {a, b};
-  for (auto _ : state) {
-    auto result = extractor.extract(streams);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(2 * a.size()));
-}
-BENCHMARK(BM_MultiStreamExtract2ch)->Unit(benchmark::kMillisecond);
 
 // Steady-state streaming ingest: one second of the cached clip pushed
 // through a warmed StreamSession in record-size chunks (taps off, ensembles
@@ -493,14 +461,6 @@ void run_json_sweep() {
       benchmark::DoNotOptimize(session.drain());
       pos += second;
       if (pos + second > clip.size()) pos = 0;
-    });
-
-    const std::vector<std::span<const float>> streams = {clip,
-                                                         cached_second_channel()};
-    const core::MultiStreamExtractor serial(core::MultiStreamParams{});
-    record("multistream2_serial", 2 * clip.size(), [&] {
-      auto result = serial.extract(streams);
-      benchmark::DoNotOptimize(result);
     });
   }
 

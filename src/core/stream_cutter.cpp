@@ -1,40 +1,29 @@
 #include "core/stream_cutter.hpp"
 
-#include "common/contracts.hpp"
+#include <algorithm>
 
 namespace dynriver::core::detail {
 
-StreamCutter::StreamCutter(std::size_t channels, std::size_t merge_gap_samples,
+StreamCutter::StreamCutter(std::size_t merge_gap_samples,
                            std::size_t min_ensemble_samples)
-    : channels_(channels),
-      merge_gap_(merge_gap_samples),
-      min_len_(min_ensemble_samples),
-      bufs_(channels),
-      gaps_(channels) {
-  DR_EXPECTS(channels >= 1);
-}
+    : merge_gap_(merge_gap_samples), min_len_(min_ensemble_samples) {}
 
-void StreamCutter::step_run(bool trig, const float* const* channels,
-                            std::size_t offset, std::size_t len) {
+void StreamCutter::step_run(bool trig, const float* data, std::size_t offset,
+                            std::size_t len) {
   if (len == 0) return;
   if (trig) {
     if (pending_) {
       // Trigger re-fired within the merge gap (an eager finalize would have
       // run otherwise): absorb the buffered gap and continue the ensemble.
-      for (std::size_t c = 0; c < channels_; ++c) {
-        bufs_[c].insert(bufs_[c].end(), gaps_[c].begin(), gaps_[c].end());
-        gaps_[c].clear();
-      }
+      buf_.insert(buf_.end(), gap_.begin(), gap_.end());
+      gap_.clear();
       pending_ = false;
       cutting_ = true;
     } else if (!cutting_) {
       cutting_ = true;
       start_ = pos_;
     }
-    for (std::size_t c = 0; c < channels_; ++c) {
-      bufs_[c].insert(bufs_[c].end(), channels[c] + offset,
-                      channels[c] + offset + len);
-    }
+    buf_.insert(buf_.end(), data + offset, data + offset + len);
   } else {
     if (cutting_) {
       cutting_ = false;
@@ -43,12 +32,9 @@ void StreamCutter::step_run(bool trig, const float* const* channels,
     if (pending_) {
       // Only the first merge_gap_ + 1 gap samples matter: the gap is
       // decided at that sample and the rest of the quiet run is ignored.
-      const std::size_t take = std::min(len, merge_gap_ + 1 - gaps_[0].size());
-      for (std::size_t c = 0; c < channels_; ++c) {
-        gaps_[c].insert(gaps_[c].end(), channels[c] + offset,
-                        channels[c] + offset + take);
-      }
-      if (gaps_[0].size() > merge_gap_) finalize();
+      const std::size_t take = std::min(len, merge_gap_ + 1 - gap_.size());
+      gap_.insert(gap_.end(), data + offset, data + offset + take);
+      if (gap_.size() > merge_gap_) finalize();
     }
   }
   pos_ += len;
@@ -66,28 +52,16 @@ void StreamCutter::finalize() {
   pending_ = false;
   // Gap samples never belong to an ensemble — they are only absorbed when
   // the trigger re-fires inside the merge window.
-  for (auto& gap : gaps_) gap.clear();
-  if (bufs_[0].size() >= min_len_) {
-    Cut cut;
-    cut.start_sample = start_;
-    cut.channels = std::move(bufs_);
-    bufs_.assign(channels_, {});
-    ready_.push_back(std::move(cut));
-  } else {
-    for (auto& buf : bufs_) buf.clear();
+  gap_.clear();
+  if (buf_.size() >= min_len_) {
+    ready_.push_back(river::Ensemble{start_, std::move(buf_)});
   }
-}
-
-std::optional<StreamCutter::Cut> StreamCutter::pop() {
-  if (ready_.empty()) return std::nullopt;
-  Cut cut = std::move(ready_.front());
-  ready_.pop_front();
-  return cut;
+  buf_.clear();  // drops a run under the floor; resets a moved-from buffer
 }
 
 std::size_t StreamCutter::buffered_samples() const {
-  std::size_t acc = bufs_[0].size() + gaps_[0].size();
-  for (const auto& cut : ready_) acc += cut.channels[0].size();
+  std::size_t acc = buf_.size() + gap_.size();
+  for (const auto& e : ready_) acc += e.samples.size();
   return acc;
 }
 
@@ -96,8 +70,8 @@ void StreamCutter::reset() {
   cutting_ = false;
   pending_ = false;
   start_ = 0;
-  for (auto& buf : bufs_) buf.clear();
-  for (auto& gap : gaps_) gap.clear();
+  buf_.clear();
+  gap_.clear();
   ready_.clear();
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
-#include "dsp/simd.hpp"
 
 namespace dynriver::core {
 
@@ -42,102 +41,57 @@ std::vector<std::uint8_t> SignalTap::trigger() const {
 }
 
 // ---------------------------------------------------------------------------
-// SessionCore
+// StreamSession
 // ---------------------------------------------------------------------------
 
-namespace detail {
-
-SessionCore::SessionCore(const PipelineParams& params, std::size_t channels,
-                         SessionOptions options,
-                         std::shared_ptr<const SpectralEngine> engine)
-    : options_(std::move(options)),
-      features_(params, std::move(engine)),
-      lead_(params.anomaly),
-      trigger_(params.trigger_sigma, params.trigger_min_baseline,
-               params.trigger_hold_samples),
-      cutter_(channels, params.merge_gap_samples, params.min_ensemble_samples),
+StreamSession::StreamSession(PipelineParams params, Options options,
+                             std::shared_ptr<const SpectralEngine> engine)
+    : params_(params),
+      options_(std::move(options)),
+      features_(params_, std::move(engine)),
+      scorer_(params_.anomaly),
+      trigger_(params_.trigger_sigma, params_.trigger_min_baseline,
+               params_.trigger_hold_samples),
+      cutter_(params_.merge_gap_samples, params_.min_ensemble_samples),
       tap_(options_.tap_capacity) {
-  DR_EXPECTS(channels >= 1);
-  params.validate();
-  more_.reserve(channels - 1);
-  for (std::size_t c = 1; c < channels; ++c) {
-    more_.emplace_back(params.anomaly);
-  }
+  params_.validate();
 }
 
 namespace {
-/// Samples scored per batched block inside the push loop: large enough to
-/// amortize the scorer's batch entry (whole energy frames, one push_run per
-/// frame), small enough that the score scratch stays cache-hot (32 KiB of
-/// doubles per channel) next to the input block.
+/// Samples scored per batched block inside the scoring loop: large enough
+/// to amortize the scorer's batch entry (whole energy frames, one push_run
+/// per frame), small enough that the score scratch stays cache-hot (32 KiB
+/// of doubles) next to the input block.
 constexpr std::size_t kScoreBlock = 4096;
-
-// Score folds: frame j's per-channel scores live at scores[c * kScoreBlock
-// + j]. Each fold reads channels in fixed order and is seeded from channel
-// 0, so a one-channel session's trigger input is exactly its scorer's
-// output. The fold stays inside the trigger loop on purpose: a separate SIMD
-// max/mean pass over the block was measured slower — the extra fused-score
-// buffer traffic does not overlap anything, while these few scalar ops hide
-// under the trigger's serial Welford chain.
-
-/// One channel: the scorer's output is the trigger's input.
-struct SingleScore {
-  double operator()(const double* scores, std::size_t j) const {
-    return scores[j];
-  }
-};
-
-struct MaxScore {
-  std::size_t channels;
-  double operator()(const double* scores, std::size_t j) const {
-    double fused = scores[j];
-    for (std::size_t c = 1; c < channels; ++c) {
-      fused = std::max(fused, scores[c * kScoreBlock + j]);
-    }
-    return fused;
-  }
-};
-
-struct MeanScore {
-  std::size_t channels;
-  double operator()(const double* scores, std::size_t j) const {
-    double fused = scores[j];
-    for (std::size_t c = 1; c < channels; ++c) {
-      fused += scores[c * kScoreBlock + j];
-    }
-    return fused / static_cast<double>(channels);
-  }
-};
 }  // namespace
 
-template <typename Fold>
-std::size_t SessionCore::push(const float* const* data, std::size_t n,
-                              Fold fold) {
-  // Each channel's scorer runs block-batched (whole energy frames fold
-  // through the dsp::simd kernels — bit-identical to per-sample pushes; the
-  // scorers are independent automata) into its slice of the scratch. The
-  // trigger/tap loop then accumulates runs of equal trigger value over the
-  // block's fused scores and hands each run to the cutter in one bulk call:
-  // trigger runs are thousands of samples long, so the cutter's per-sample
-  // bookkeeping vanishes and ensemble/gap buffers grow by range inserts.
-  const std::size_t ch = channels();
+std::size_t StreamSession::push(std::span<const float> samples) {
+  if (pending_params_) return push_reconfiguring(samples);
+  return advance(samples);
+}
+
+std::size_t StreamSession::advance(std::span<const float> samples) {
+  // The scorer runs block-batched (whole energy frames fold through the
+  // dsp::simd kernels — bit-identical to per-sample pushes) into the
+  // scratch. The trigger/tap loop then accumulates runs of equal trigger
+  // value over the block's scores and hands each run to the cutter in one
+  // bulk call: trigger runs are thousands of samples long, so the cutter's
+  // per-sample bookkeeping vanishes and ensemble/gap buffers grow by range
+  // inserts.
+  const float* const data = samples.data();
+  const std::size_t n = samples.size();
   const bool tapped = tap_.enabled();
   const bool observed = static_cast<bool>(options_.on_signal);
-  if (score_block_.size() < ch * kScoreBlock) {
-    score_block_.resize(ch * kScoreBlock);
-  }
+  if (score_block_.size() < kScoreBlock) score_block_.resize(kScoreBlock);
   double* const scores = score_block_.data();
   bool run_trig = false;
   std::size_t run_start = 0;
   for (std::size_t base = 0; base < n; base += kScoreBlock) {
     const std::size_t m = std::min(kScoreBlock, n - base);
-    lead_.push_batch(data[0] + base, m, scores);
-    for (std::size_t c = 1; c < ch; ++c) {
-      more_[c - 1].push_batch(data[c] + base, m, scores + c * kScoreBlock);
-    }
+    scorer_.push_batch(data + base, m, scores);
     for (std::size_t j = 0; j < m; ++j) {
       const std::size_t i = base + j;
-      const double score = fold(scores, j);
+      const double score = scores[j];
       const bool trig = trigger_.push(score);
       if (tapped) tap_.push(static_cast<float>(score), trig);
       if (observed) {
@@ -155,39 +109,6 @@ std::size_t SessionCore::push(const float* const* data, std::size_t n,
   return cutter_.ready();
 }
 
-void SessionCore::reset() {
-  lead_.reset();
-  for (auto& scorer : more_) scorer.reset();
-  trigger_.reset();
-  cutter_.reset();
-  tap_.reset();
-  consumed_ = 0;
-}
-
-void SessionCore::set_decision(const PipelineParams& params) {
-  // The trigger keeps its baseline statistics (mu0/sigma0 survive the
-  // re-tune); only the decision thresholds change.
-  trigger_.set_thresholding(params.trigger_sigma, params.trigger_min_baseline,
-                            params.trigger_hold_samples);
-  cutter_.set_bounds(params.merge_gap_samples, params.min_ensemble_samples);
-}
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
-// StreamSession
-// ---------------------------------------------------------------------------
-
-StreamSession::StreamSession(PipelineParams params, Options options,
-                             std::shared_ptr<const SpectralEngine> engine)
-    : params_(params), core_(params_, 1, std::move(options), std::move(engine)) {}
-
-std::size_t StreamSession::push(std::span<const float> samples) {
-  if (pending_params_) return push_reconfiguring(samples);
-  const float* data = samples.data();
-  return core_.push(&data, samples.size(), detail::SingleScore{});
-}
-
 // Slow path while a reconfigure waits for the ensemble boundary: advances
 // one sample at a time until the cutter is idle, adopts the pending
 // parameters there, and hands the rest of the chunk to push(). Kept out of
@@ -195,11 +116,10 @@ std::size_t StreamSession::push(std::span<const float> samples) {
 // per sample.
 std::size_t StreamSession::push_reconfiguring(std::span<const float> samples) {
   std::size_t i = 0;
-  for (; i < samples.size() && !core_.idle(); ++i) {
-    const float* frame = samples.data() + i;
-    core_.push(&frame, 1, detail::SingleScore{});
+  for (; i < samples.size() && !cutter_.idle(); ++i) {
+    advance(samples.subspan(i, 1));
   }
-  if (i == samples.size()) return core_.ready();
+  if (i == samples.size()) return cutter_.ready();
   apply_reconfigure();
   return push(samples.subspan(i));
 }
@@ -220,23 +140,24 @@ void StreamSession::reconfigure(const PipelineParams& params) {
   pending_params_ = params;
   // Between ensembles the new rules can start this very instant; otherwise
   // the in-flight ensemble finishes under the old rules first.
-  if (core_.idle()) apply_reconfigure();
+  if (cutter_.idle()) apply_reconfigure();
 }
 
 void StreamSession::apply_reconfigure() {
-  core_.set_decision(*pending_params_);
-  params_ = *pending_params_;
+  const PipelineParams& p = *pending_params_;
+  // The trigger keeps its baseline statistics (mu0/sigma0 survive the
+  // re-tune); only the decision thresholds change.
+  trigger_.set_thresholding(p.trigger_sigma, p.trigger_min_baseline,
+                            p.trigger_hold_samples);
+  cutter_.set_bounds(p.merge_gap_samples, p.min_ensemble_samples);
+  params_ = p;
   pending_params_.reset();
 }
 
-std::vector<river::Ensemble> StreamSession::drain() {
-  return core_.drain([](detail::StreamCutter::Cut cut) {
-    return river::Ensemble{cut.start_sample, std::move(cut.channels.front())};
-  });
-}
+std::vector<river::Ensemble> StreamSession::drain() { return cutter_.take(); }
 
 std::vector<river::Ensemble> StreamSession::finish() {
-  core_.finish();
+  cutter_.finish();
   // End of stream decides the in-flight ensemble under the old rules; a
   // still-pending reconfigure lands now that the automaton is idle.
   if (pending_params_) apply_reconfigure();
@@ -244,65 +165,17 @@ std::vector<river::Ensemble> StreamSession::finish() {
 }
 
 void StreamSession::reset() {
-  core_.reset();
+  scorer_.reset();
+  trigger_.reset();
+  cutter_.reset();
+  tap_.reset();
+  consumed_ = 0;
   if (pending_params_) apply_reconfigure();
 }
 
 std::vector<std::vector<float>> StreamSession::featurize(
     const river::Ensemble& ensemble) const {
-  return core_.features().patterns(ensemble.samples);
-}
-
-// ---------------------------------------------------------------------------
-// MultiStreamSession
-// ---------------------------------------------------------------------------
-
-MultiStreamSession::MultiStreamSession(
-    MultiStreamParams params, std::size_t channels,
-    StreamSession::Options options, std::shared_ptr<const SpectralEngine> engine)
-    : params_(std::move(params)),
-      core_(params_.base, channels, std::move(options), std::move(engine)) {}
-
-std::size_t MultiStreamSession::push(
-    std::span<const std::span<const float>> chunks) {
-  const std::size_t ch = channels();
-  DR_EXPECTS(chunks.size() == ch);
-  const std::size_t n = chunks.front().size();
-  channel_data_.resize(ch);
-  for (std::size_t c = 0; c < ch; ++c) {
-    DR_EXPECTS(chunks[c].size() == n);
-    channel_data_[c] = chunks[c].data();
-  }
-  const float* const* data = channel_data_.data();
-  // One channel has nothing to fuse, whatever the rule: it runs exactly the
-  // StreamSession loop.
-  if (ch == 1) return core_.push(data, n, detail::SingleScore{});
-  if (params_.fusion == ScoreFusion::kMax) {
-    return core_.push(data, n, detail::MaxScore{ch});
-  }
-  return core_.push(data, n, detail::MeanScore{ch});
-}
-
-std::vector<MultiEnsemble> MultiStreamSession::drain() {
-  return core_.drain([](detail::StreamCutter::Cut cut) {
-    MultiEnsemble ensemble;
-    ensemble.start_sample = cut.start_sample;
-    ensemble.length = cut.channels.front().size();
-    ensemble.channel_samples = std::move(cut.channels);
-    return ensemble;
-  });
-}
-
-std::vector<MultiEnsemble> MultiStreamSession::finish() {
-  core_.finish();
-  return drain();
-}
-
-void MultiStreamSession::reset() { core_.reset(); }
-
-std::vector<std::vector<std::vector<float>>> MultiStreamSession::featurize(
-    const MultiEnsemble& ensemble) const {
-  return featurize_channels(core_.features(), ensemble);
+  return features_.patterns(ensemble.samples);
 }
 
 // ---------------------------------------------------------------------------

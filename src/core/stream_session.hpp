@@ -1,4 +1,4 @@
-// Push-based streaming extraction sessions.
+// Push-based streaming extraction session.
 //
 // StreamSession runs the znorm/SAX/bitmap/trigger/cutter automaton
 // incrementally: push() accepts any chunking of the signal — whole clip,
@@ -10,12 +10,7 @@
 // Contract: for every chunking, the ensembles, scores, and trigger series
 // are bit-identical to the batch facade — EnsembleExtractor::extract is
 // itself a thin wrapper over a session (tests/test_core_stream.cpp sweeps
-// chunk sizes including 1). MultiStreamSession is the multi-channel
-// counterpart behind MultiStreamExtractor. Both run one session core
-// (detail::SessionCore): one block loop scores every channel, folds the
-// per-channel scores into the trigger's input, and hands trigger runs to the
-// shared cutter, so a one-channel MultiStreamSession is a StreamSession
-// sample for sample.
+// chunk sizes including 1).
 #pragma once
 
 #include <functional>
@@ -27,7 +22,6 @@
 #include <vector>
 
 #include "core/features.hpp"
-#include "core/multistream.hpp"
 #include "core/params.hpp"
 #include "core/stream_cutter.hpp"
 #include "core/trigger.hpp"
@@ -90,7 +84,7 @@ class SignalTap {
 [[nodiscard]] bool reconfigure_compatible(const PipelineParams& a,
                                           const PipelineParams& b);
 
-/// Observation knobs shared by the streaming sessions.
+/// Observation knobs of a StreamSession.
 struct SessionOptions {
   /// Ring capacity (in samples) of the score/trigger tap; 0 disables the
   /// tap, SignalTap::kUnbounded keeps full history (batch keep_signals).
@@ -99,73 +93,6 @@ struct SessionOptions {
   /// trigger) — a zero-memory alternative to the tap for live telemetry.
   std::function<void(std::size_t, float, bool)> on_signal;
 };
-
-namespace detail {
-
-/// The one session core behind StreamSession (one channel) and
-/// MultiStreamSession (C synchronized channels): a scorer per channel, one
-/// trigger, the tap/observer, one cutter, the consumed count and the score
-/// scratch. The sessions differ only in how a frame's per-channel scores fold
-/// into the trigger's input (a push() template argument, so the fold is
-/// picked once per push and never branched on per sample) and in the
-/// ensemble type drain() builds from each cut.
-class SessionCore {
- public:
-  SessionCore(const PipelineParams& params, std::size_t channels,
-              SessionOptions options,
-              std::shared_ptr<const SpectralEngine> engine);
-
-  /// Advance `n` frames; `data[c]` points at channel c's samples, and
-  /// `fold(scores, j)` fuses frame j's per-channel scores (defined in
-  /// stream_session.cpp, its only caller). Returns completed cuts waiting.
-  template <typename Fold>
-  std::size_t push(const float* const* data, std::size_t n, Fold fold);
-
-  /// Move out the completed cuts, oldest first, each converted by `make`.
-  template <typename Make>
-  [[nodiscard]] auto drain(Make make) {
-    std::vector<decltype(make(std::declval<StreamCutter::Cut>()))> out;
-    while (auto cut = cutter_.pop()) out.push_back(make(std::move(*cut)));
-    return out;
-  }
-
-  /// End of stream: closes the open run and decides the pending ensemble.
-  void finish() { cutter_.finish(); }
-  /// Restart for a new stream; the engine and plans are reused.
-  void reset();
-  /// Adopt new trigger / merge-gap / length-floor parameters immediately.
-  void set_decision(const PipelineParams& params);
-
-  [[nodiscard]] std::size_t channels() const { return 1 + more_.size(); }
-  [[nodiscard]] bool idle() const { return cutter_.idle(); }
-  [[nodiscard]] std::size_t ready() const { return cutter_.ready(); }
-  [[nodiscard]] std::size_t samples_consumed() const { return consumed_; }
-  [[nodiscard]] std::size_t buffered_samples() const {
-    return cutter_.buffered_samples();
-  }
-  [[nodiscard]] const SignalTap& tap() const { return tap_; }
-  [[nodiscard]] const FeatureExtractor& features() const { return features_; }
-
- private:
-  SessionOptions options_;
-  FeatureExtractor features_;  ///< shares the engine; powers featurize()
-  /// Channel 0's scorer, held inline: a one-channel session allocates no
-  /// more than StreamSession always did. Holding it in the vector below
-  /// made construction measurably slower (species_survey set-up 2.7 ->
-  /// 4.0 us per session, 8 of 8 seeds).
-  ts::StreamingAnomalyScorer lead_;
-  std::vector<ts::StreamingAnomalyScorer> more_;  ///< channels 1..C-1
-  TriggerState trigger_;
-  StreamCutter cutter_;
-  SignalTap tap_;
-  std::size_t consumed_ = 0;
-  /// Per-channel scratch blocks for the scorers' batched scores (flat,
-  /// channels x block): push() scores one cache-hot block at a time, so
-  /// memory stays O(channels * block), not O(chunk).
-  std::vector<double> score_block_;
-};
-
-}  // namespace detail
 
 /// Single-signal streaming extraction session.
 class StreamSession {
@@ -215,70 +142,37 @@ class StreamSession {
   [[nodiscard]] std::vector<std::vector<float>> featurize(
       const river::Ensemble& ensemble) const;
 
-  [[nodiscard]] std::size_t samples_consumed() const {
-    return core_.samples_consumed();
-  }
+  [[nodiscard]] std::size_t samples_consumed() const { return consumed_; }
   /// Samples currently buffered inside the session (open ensemble + merge
   /// gap + undrained ensembles). Bounded for any stream length.
   [[nodiscard]] std::size_t buffered_samples() const {
-    return core_.buffered_samples();
+    return cutter_.buffered_samples();
   }
-  [[nodiscard]] const SignalTap& tap() const { return core_.tap(); }
+  [[nodiscard]] const SignalTap& tap() const { return tap_; }
   [[nodiscard]] const PipelineParams& params() const { return params_; }
   [[nodiscard]] const std::shared_ptr<const SpectralEngine>& engine() const {
-    return core_.features().engine();
+    return features_.engine();
   }
 
  private:
+  /// The scoring loop: score, trigger, tap and cut `samples`.
+  std::size_t advance(std::span<const float> samples);
   std::size_t push_reconfiguring(std::span<const float> samples);
   void apply_reconfigure();
 
   PipelineParams params_;
-  detail::SessionCore core_;
+  Options options_;
+  FeatureExtractor features_;  ///< shares the engine; powers featurize()
+  ts::StreamingAnomalyScorer scorer_;
+  TriggerState trigger_;
+  detail::StreamCutter cutter_;
+  SignalTap tap_;
+  std::size_t consumed_ = 0;
+  /// Scratch for the scorer's batched scores: advance() scores one
+  /// cache-hot block at a time, so memory stays O(block), not O(chunk).
+  std::vector<double> score_block_;
   /// Parameters adopted at the next ensemble boundary (live reconfigure).
   std::optional<PipelineParams> pending_params_;
-};
-
-/// Multi-channel counterpart: one scorer per synchronized stream, fused
-/// score (max/mean in fixed channel order), one shared trigger and cutter —
-/// identical boundaries across channels (see core/multistream.hpp). With one
-/// channel it is a StreamSession sample for sample, whatever the fusion.
-class MultiStreamSession {
- public:
-  explicit MultiStreamSession(
-      MultiStreamParams params, std::size_t channels,
-      StreamSession::Options options = {},
-      std::shared_ptr<const SpectralEngine> engine = nullptr);
-
-  /// Push the next chunk of every channel (chunks.size() == channels(),
-  /// all the same length). Returns completed ensembles waiting in drain().
-  std::size_t push(std::span<const std::span<const float>> chunks);
-
-  [[nodiscard]] std::vector<MultiEnsemble> drain();
-  [[nodiscard]] std::vector<MultiEnsemble> finish();
-  void reset();
-
-  /// Per-channel spectral patterns of one multi-ensemble.
-  [[nodiscard]] std::vector<std::vector<std::vector<float>>> featurize(
-      const MultiEnsemble& ensemble) const;
-
-  [[nodiscard]] std::size_t channels() const { return core_.channels(); }
-  [[nodiscard]] std::size_t samples_consumed() const {
-    return core_.samples_consumed();
-  }
-  [[nodiscard]] std::size_t buffered_samples() const {
-    return core_.buffered_samples();
-  }
-  [[nodiscard]] const SignalTap& tap() const { return core_.tap(); }
-  [[nodiscard]] const MultiStreamParams& params() const { return params_; }
-  [[nodiscard]] const std::shared_ptr<const SpectralEngine>& engine() const {
-    return core_.features().engine();
-  }
-
- private:
-  MultiStreamParams params_;
-  detail::SessionCore core_;
-  std::vector<const float*> channel_data_;  ///< hoisted chunk pointers
 };
 
 /// Pump a source through a session into a sink in `chunk_samples` blocks

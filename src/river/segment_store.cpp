@@ -6,13 +6,13 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "common/checked.hpp"
@@ -692,22 +692,14 @@ void SegmentedRecordLog::close() {
 
 std::size_t SegmentedRecordLog::retire_before(double t) {
   const common::LockGuard lock(mu_);
-  return retire_before_locked(t, nullptr);
-}
-
-std::size_t SegmentedRecordLog::retire_before_locked(
-    double t, std::uint64_t* bytes_dropped) {
   std::vector<std::string> victims;
-  std::uint64_t bytes = 0;
   std::erase_if(sealed_, [&](const SegmentInfo& s) {
     if (s.t_max < t) {
       victims.push_back(s.name);
-      bytes += s.bytes;
       return true;
     }
     return false;
   });
-  if (bytes_dropped != nullptr) *bytes_dropped = bytes;
   if (victims.empty()) return 0;
   // Publish first, delete second: a crash in between leaves orphans with
   // indexes below `next`, which recovery deletes.
@@ -716,20 +708,11 @@ std::size_t SegmentedRecordLog::retire_before_locked(
   return victims.size();
 }
 
-std::size_t SegmentedRecordLog::compact(std::uint64_t min_bytes,
-                                        std::size_t max_run) {
+std::size_t SegmentedRecordLog::compact(std::uint64_t min_bytes) {
   const common::LockGuard lock(mu_);
-  return compact_locked(min_bytes, max_run, nullptr);
-}
-
-std::size_t SegmentedRecordLog::compact_locked(std::uint64_t min_bytes,
-                                               std::size_t max_run,
-                                               std::uint64_t* bytes_rewritten) {
   // After an abandoned active segment the merged segment would take that
   // file's index and overwrite it.
   DR_EXPECTS(!closed_);
-  if (bytes_rewritten != nullptr) *bytes_rewritten = 0;
-  if (max_run < 2) return 0;
   // Rotate first: the merged segment takes the next free index, and while a
   // segment is active that index is the active file's — merging into it
   // would rename over the live file under the writer.
@@ -737,11 +720,9 @@ std::size_t SegmentedRecordLog::compact_locked(std::uint64_t min_bytes,
   std::size_t removed = 0;
   std::size_t run_begin = 0;
   while (run_begin < sealed_.size()) {
-    // Find a maximal run of adjacent small segments (bounded by max_run so
-    // one pass under the log's lock stays short).
+    // Find a maximal run of adjacent small segments.
     std::size_t run_end = run_begin;
-    while (run_end < sealed_.size() && run_end - run_begin < max_run &&
-           sealed_[run_end].bytes < min_bytes) {
+    while (run_end < sealed_.size() && sealed_[run_end].bytes < min_bytes) {
       ++run_end;
     }
     if (run_end - run_begin < 2) {
@@ -838,7 +819,6 @@ std::size_t SegmentedRecordLog::compact_locked(std::uint64_t min_bytes,
     for (const auto& name : replaced) fs::remove(dir_ / name);
 
     removed += replaced.size() - 1;
-    if (bytes_rewritten != nullptr) *bytes_rewritten += merged.payload_bytes;
     run_begin += 1;  // continue after the merged entry
   }
   return removed;
@@ -864,83 +844,6 @@ std::vector<SegmentInfo> SegmentedRecordLog::segments() const {
   auto out = sealed_;
   if (active_.file != nullptr) out.push_back(active_.info(false));
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// SegmentedRecordLog::Maintenance
-// ---------------------------------------------------------------------------
-
-SegmentedRecordLog::Maintenance::Maintenance(SegmentedRecordLog& log,
-                                             MaintenanceOptions options)
-    : log_(log), options_(options) {
-  DR_EXPECTS(options_.interval_seconds > 0.0);
-  thread_ = std::thread([this] { run(); });
-}
-
-SegmentedRecordLog::Maintenance::~Maintenance() { stop(); }
-
-SegmentedRecordLog::Maintenance::Stats SegmentedRecordLog::Maintenance::stats()
-    const {
-  const common::LockGuard lock(mu_);
-  return stats_;
-}
-
-void SegmentedRecordLog::Maintenance::stop() {
-  {
-    const common::LockGuard lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void SegmentedRecordLog::Maintenance::run() {
-  common::UniqueLock lock(mu_);
-  while (!stop_) {
-    lock.unlock();
-    std::uint64_t bytes = 0;
-    std::size_t retired = 0;
-    std::size_t merged = 0;
-    try {
-      const common::LockGuard log_lock(log_.mu_);
-      if (options_.retain_seconds > 0.0 && std::isfinite(log_.last_t_)) {
-        std::uint64_t dropped = 0;
-        retired = log_.retire_before_locked(
-            log_.last_t_ - options_.retain_seconds, &dropped);
-        bytes += dropped;
-      }
-      if (options_.compact_min_bytes > 0) {
-        std::uint64_t rewritten = 0;
-        merged = log_.compact_locked(options_.compact_min_bytes,
-                                     options_.compact_max_run, &rewritten);
-        bytes += rewritten;
-      }
-    } catch (...) {
-      // Maintenance must never take the pipeline down: skip this cycle and
-      // retry next interval. A persistent I/O failure still surfaces — the
-      // writer's own append/sync/close throw.
-    }
-    // Budget: a cycle that touched N bytes earns at least N / budget seconds
-    // of quiet, capping average maintenance I/O at budget bytes/second.
-    double sleep_s = options_.interval_seconds;
-    if (options_.budget_bytes_per_sec > 0 && bytes > 0) {
-      sleep_s = std::max(sleep_s,
-                         static_cast<double>(bytes) /
-                             static_cast<double>(options_.budget_bytes_per_sec));
-    }
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(sleep_s));
-    lock.lock();
-    ++stats_.cycles;
-    stats_.segments_retired += retired;
-    stats_.segments_merged += merged;
-    stats_.bytes_processed += bytes;
-    while (!stop_ &&
-           cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

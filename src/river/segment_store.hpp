@@ -50,7 +50,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -108,25 +107,6 @@ struct SegmentStoreOptions {
   bool pack_payloads = false;
 };
 
-/// Knobs for SegmentedRecordLog::Maintenance.
-struct MaintenanceOptions {
-  /// Seconds between maintenance cycles (lower bound; budget can stretch it).
-  double interval_seconds = 1.0;
-  /// Drop sealed segments ending more than this many seconds before the
-  /// newest appended record (0 disables retention).
-  double retain_seconds = 0.0;
-  /// Merge adjacent sealed segments smaller than this (0 disables
-  /// compaction).
-  std::uint64_t compact_min_bytes = 0;
-  /// At most this many segments merge per compaction pass, bounding how
-  /// long one cycle holds the log's lock.
-  std::size_t compact_max_run = 8;
-  /// Average maintenance I/O throughput cap in bytes/second: after a cycle
-  /// that retired or merged N bytes, sleep at least N / budget seconds
-  /// before the next one (0 = unthrottled).
-  std::uint64_t budget_bytes_per_sec = 0;
-};
-
 /// One segment as listed by the manifest (sealed) or observed live (active).
 struct SegmentInfo {
   std::string name;            ///< file name within the store directory
@@ -142,9 +122,9 @@ struct SegmentInfo {
 /// size/time, maintains the manifest, recovers from crashes on reopen.
 /// Stream time must be non-decreasing across appends.
 ///
-/// All public methods are serialized by an internal mutex, so a Maintenance
-/// thread (or any other thread) may run retire_before()/compact() while the
-/// owning thread keeps appending.
+/// All public methods are serialized by an internal mutex, so any thread
+/// may run retire_before()/compact() while the owning thread keeps
+/// appending.
 class SegmentedRecordLog {
  public:
   explicit SegmentedRecordLog(const std::filesystem::path& dir,
@@ -180,11 +160,9 @@ class SegmentedRecordLog {
   /// Compaction: merge adjacent runs of sealed segments smaller than
   /// `min_bytes` into single segments (raw envelope copy — frames are not
   /// re-encoded). Seals the active segment first so the merged segment
-  /// never takes the live file's name. At most `max_run` segments join one
-  /// merged segment. Returns the net number of segments eliminated.
-  /// Requires an open log.
-  std::size_t compact(std::uint64_t min_bytes,
-                      std::size_t max_run = std::numeric_limits<std::size_t>::max());
+  /// never takes the live file's name. Returns the net number of segments
+  /// eliminated. Requires an open log.
+  std::size_t compact(std::uint64_t min_bytes);
 
   [[nodiscard]] std::size_t records_written() const;
   /// Complete frames preserved from a torn active segment on reopen.
@@ -194,42 +172,6 @@ class SegmentedRecordLog {
   /// Sealed segments (manifest order) plus the active one, if any.
   [[nodiscard]] std::vector<SegmentInfo> segments() const;
   [[nodiscard]] const std::filesystem::path& directory() const { return dir_; }
-
-  /// Hands-off background maintenance: owns a thread that periodically
-  /// applies retention and compaction to the log, throttled to an average
-  /// byte budget so archive housekeeping cannot starve the live writer.
-  /// Construct after the log, destroy (or stop()) before closing it.
-  class Maintenance {
-   public:
-    Maintenance(SegmentedRecordLog& log, MaintenanceOptions options);
-    ~Maintenance();
-    Maintenance(const Maintenance&) = delete;
-    Maintenance& operator=(const Maintenance&) = delete;
-
-    /// Counters across all cycles so far (readable while running).
-    struct Stats {
-      std::size_t cycles = 0;
-      std::size_t segments_retired = 0;
-      std::size_t segments_merged = 0;     ///< net segments eliminated
-      std::uint64_t bytes_processed = 0;   ///< retired + rewritten payload
-    };
-    [[nodiscard]] Stats stats() const;
-
-    /// Finish the in-flight cycle, if any, and join the thread. Idempotent;
-    /// the destructor calls it.
-    void stop();
-
-   private:
-    void run();
-
-    SegmentedRecordLog& log_;
-    MaintenanceOptions options_;
-    mutable common::Mutex mu_;
-    common::CondVar cv_;
-    Stats stats_ DR_GUARDED_BY(mu_);
-    bool stop_ DR_GUARDED_BY(mu_) = false;
-    std::thread thread_;  ///< started in ctor, joined in stop() only
-  };
 
  private:
   /// A segment being written (the active one, a recovered prefix, or a
@@ -260,10 +202,6 @@ class SegmentedRecordLog {
   // internal callers — compact seals first, close seals — never re-lock.
   void seal_active_locked() DR_REQUIRES(mu_);
   void abandon_active_locked() DR_REQUIRES(mu_);
-  std::size_t retire_before_locked(double t, std::uint64_t* bytes_dropped)
-      DR_REQUIRES(mu_);
-  std::size_t compact_locked(std::uint64_t min_bytes, std::size_t max_run,
-                             std::uint64_t* bytes_rewritten) DR_REQUIRES(mu_);
 
   mutable common::Mutex mu_;
   std::filesystem::path dir_;

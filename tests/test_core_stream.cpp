@@ -1,20 +1,17 @@
-// StreamSession / MultiStreamSession: the streaming extraction contract.
+// StreamSession: the streaming extraction contract.
 //
 // The load-bearing property: for EVERY chunking of the input — including
 // 1-sample pushes — the session's ensembles, scores, and trigger series are
 // byte-identical to EnsembleExtractor::extract (which is itself a wrapper
 // over a session, so this also pins batch == streaming). Plus: bounded
-// buffering, eager emission, ring taps, reset, and the multi-channel
-// counterpart against MultiStreamExtractor.
+// buffering, eager emission, ring taps, reset, and live reconfigure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <random>
 #include <utility>
 #include <vector>
 
 #include "core/extractor.hpp"
-#include "core/multistream.hpp"
 #include "core/stream_session.hpp"
 #include "river/sample_io.hpp"
 #include "test_support.hpp"
@@ -94,8 +91,13 @@ TEST(StreamSession, ChunkSweepBitIdenticalToBatchExtract) {
   const auto params = small_params();
   const core::EnsembleExtractor extractor(params);
 
-  for (const unsigned seed : {11U, 29U, 47U}) {
-    const auto xs = random_signal_with_events(60000, seed);
+  // The digital-silence signal drives the smoothed score slightly negative.
+  const std::vector<std::pair<unsigned, std::vector<float>>> signals = {
+      {11U, random_signal_with_events(60000, 11)},
+      {29U, random_signal_with_events(60000, 29)},
+      {47U, random_signal_with_events(60000, 47)},
+      {52U, testsupport::bursts_with_digital_silence(60000, 52)}};
+  for (const auto& [seed, xs] : signals) {
     const auto want = extractor.extract(xs, /*keep_signals=*/true);
     ASSERT_FALSE(want.ensembles.empty()) << "seed=" << seed
         << " (signal must exercise the cutter)";
@@ -406,161 +408,6 @@ TEST(StreamSession, ReconfigureMidEnsembleDefersUntilBoundary) {
   ASSERT_EQ(got.size(), 1U);
   EXPECT_EQ(got.front().start_sample, first.start_sample);
   ASSERT_EQ(got.front().samples, first.samples);
-}
-
-// ---------------------------------------------------------------------------
-// MultiStreamSession
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::vector<float> perturbed_channel(const std::vector<float>& base,
-                                     unsigned seed) {
-  std::mt19937 gen(seed);
-  std::normal_distribution<float> noise(0.0F, 0.002F);
-  std::vector<float> out(base.size());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    out[i] = 0.9F * base[i] + noise(gen);
-  }
-  return out;
-}
-
-}  // namespace
-
-TEST(MultiStreamSession, ChunkSweepBitIdenticalToMultiExtractor) {
-  core::MultiStreamParams mp;
-  mp.base = small_params();
-  const core::MultiStreamExtractor extractor(mp);
-
-  const auto a = random_signal_with_events(60000, 31);
-  const auto b = perturbed_channel(a, 32);
-  const std::vector<std::span<const float>> streams = {a, b};
-  const auto want = extractor.extract(streams, /*keep_signals=*/true);
-  ASSERT_FALSE(want.ensembles.empty());
-
-  for (const std::size_t chunk :
-       {std::size_t{1}, std::size_t{256}, std::size_t{900}, std::size_t{0}}) {
-    core::SessionOptions options;
-    options.tap_capacity = core::SignalTap::kUnbounded;
-    core::MultiStreamSession session(mp, streams.size(), std::move(options));
-
-    std::vector<core::MultiEnsemble> got;
-    std::size_t pos = 0;
-    while (pos < a.size()) {
-      const std::size_t n = chunk == 0 ? a.size() : std::min(chunk, a.size() - pos);
-      const std::vector<std::span<const float>> chunks = {
-          std::span<const float>(a).subspan(pos, n),
-          std::span<const float>(b).subspan(pos, n)};
-      session.push(chunks);
-      for (auto& e : session.drain()) got.push_back(std::move(e));
-      pos += n;
-    }
-    for (auto& e : session.finish()) got.push_back(std::move(e));
-
-    ASSERT_EQ(got.size(), want.ensembles.size()) << "chunk=" << chunk;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].start_sample, want.ensembles[i].start_sample);
-      EXPECT_EQ(got[i].length, want.ensembles[i].length);
-      ASSERT_EQ(got[i].channel_samples, want.ensembles[i].channel_samples);
-    }
-    ASSERT_EQ(session.tap().scores(), want.fused_scores) << "chunk=" << chunk;
-  }
-}
-
-namespace {
-
-/// Everything a session exposes per sample: the unbounded tap plus the
-/// on_signal series, and the ensembles (one channel's cuts).
-struct SessionTrace {
-  std::vector<std::pair<std::size_t, std::vector<float>>> ensembles;
-  std::vector<float> tap_scores;
-  std::vector<std::uint8_t> tap_trigger;
-  std::vector<std::size_t> signal_index;
-  std::vector<float> signal_score;
-  std::vector<bool> signal_trigger;
-};
-
-core::SessionOptions traced_options(SessionTrace& trace) {
-  core::SessionOptions options;
-  options.tap_capacity = core::SignalTap::kUnbounded;
-  options.on_signal = [&trace](std::size_t i, float score, bool trig) {
-    trace.signal_index.push_back(i);
-    trace.signal_score.push_back(score);
-    trace.signal_trigger.push_back(trig);
-  };
-  return options;
-}
-
-/// Feed `xs` to `session` in `chunk`-sized pushes (0 = whole signal) through
-/// `push_chunk`, draining after every push; `cut` maps an ensemble to its
-/// (start, samples).
-template <typename Session, typename Push, typename Cut>
-void trace_session(Session& session, std::span<const float> xs,
-                   std::size_t chunk, Push push_chunk, Cut cut,
-                   SessionTrace& trace) {
-  std::size_t pos = 0;
-  while (pos < xs.size()) {
-    const std::size_t n = chunk == 0 ? xs.size() : std::min(chunk, xs.size() - pos);
-    push_chunk(xs.subspan(pos, n));
-    for (auto& e : session.drain()) trace.ensembles.push_back(cut(std::move(e)));
-    pos += n;
-  }
-  for (auto& e : session.finish()) trace.ensembles.push_back(cut(std::move(e)));
-  trace.tap_scores = session.tap().scores();
-  trace.tap_trigger = session.tap().trigger();
-}
-
-}  // namespace
-
-TEST(MultiStreamSession, OneChannelEqualsStreamSessionSampleForSample) {
-  // The shared session core: a one-channel MultiStreamSession runs exactly
-  // StreamSession's loop, whatever the fusion rule — same ensembles, same
-  // tap, same observer series, under every chunking. The digital-silence
-  // signal drives the smoothed score slightly negative, which a fold seeded
-  // with 0.0 would clamp.
-  const auto params = small_params();
-  const std::vector<std::vector<float>> signals = {
-      random_signal_with_events(60000, 51),
-      testsupport::bursts_with_digital_silence(60000, 52)};
-  for (const auto& xs : signals) {
-    for (const std::size_t chunk :
-         {std::size_t{1}, std::size_t{256}, std::size_t{900}, std::size_t{0}}) {
-      SessionTrace want;
-      core::StreamSession single(params, traced_options(want));
-      trace_session(
-          single, xs, chunk,
-          [&](std::span<const float> c) { single.push(c); },
-          [](river::Ensemble e) {
-            return std::pair{e.start_sample, std::move(e.samples)};
-          },
-          want);
-      ASSERT_FALSE(want.ensembles.empty());
-
-      for (const auto fusion : {core::ScoreFusion::kMax, core::ScoreFusion::kMean}) {
-        core::MultiStreamParams mp;
-        mp.base = params;
-        mp.fusion = fusion;
-        SessionTrace got;
-        core::MultiStreamSession multi(mp, 1, traced_options(got));
-        trace_session(
-            multi, xs, chunk,
-            [&](std::span<const float> c) {
-              const std::vector<std::span<const float>> chunks = {c};
-              multi.push(chunks);
-            },
-            [](core::MultiEnsemble e) {
-              return std::pair{e.start_sample, std::move(e.channel_samples[0])};
-            },
-            got);
-        ASSERT_EQ(got.ensembles, want.ensembles) << "chunk=" << chunk;
-        ASSERT_EQ(got.tap_scores, want.tap_scores) << "chunk=" << chunk;
-        ASSERT_EQ(got.tap_trigger, want.tap_trigger) << "chunk=" << chunk;
-        ASSERT_EQ(got.signal_index, want.signal_index) << "chunk=" << chunk;
-        ASSERT_EQ(got.signal_score, want.signal_score) << "chunk=" << chunk;
-        ASSERT_EQ(got.signal_trigger, want.signal_trigger) << "chunk=" << chunk;
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,16 +7,22 @@
 // The budget is deliberately not exactly zero: per-*segment* costs (an
 // ifstream, a prefetch window handoff) are allowed, per-*frame* costs are
 // not — hence the < 0.05 allocations/frame ceiling.
+//
+// The same shim bounds the heap allocations of constructing a StreamSession
+// over a shared SpectralEngine, the per-station set-up cost.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <span>
 #include <vector>
 
+#include "core/spectral_engine.hpp"
+#include "core/stream_session.hpp"
 #include "river/record.hpp"
 #include "river/segment_store.hpp"
 #include "test_support.hpp"
@@ -24,6 +30,11 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+
+/// Heap allocations of one StreamSession constructed over a shared engine
+/// (GCC 12, libstdc++): 10, down from 14 while a per-channel cutter and a
+/// std::deque of ready cuts were part of every session.
+constexpr std::size_t kSessionSetUpAllocations = 10;
 
 }  // namespace
 
@@ -43,6 +54,7 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
+namespace core = dynriver::core;
 namespace river = dynriver::river;
 namespace testsupport = dynriver::testsupport;
 
@@ -117,4 +129,17 @@ TEST_F(ReplayAllocTest, SteadyStateReplayIsAllocationFreePerFrame) {
     }
     EXPECT_TRUE(source.clean());
   }
+}
+
+TEST(SessionSetUpAlloc, SharedEngineSessionConstructionAllocationBound) {
+  // One StreamSession over an already-built engine: the scorer, trigger,
+  // cutter and feature extractor buffers, and nothing per channel.
+  const core::PipelineParams params;
+  const auto engine = std::make_shared<const core::SpectralEngine>(params);
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const core::StreamSession session(params, {}, engine);
+  const std::size_t during =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(during, kSessionSetUpAllocations)
+      << "constructing a StreamSession allocated " << during << " times";
 }

@@ -9,7 +9,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
@@ -20,7 +19,6 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/extractor.hpp"
@@ -1323,63 +1321,8 @@ TEST_F(SegmentStoreTest, DamagedOrTruncatedPackedStoreSurfacesAsLostNotCrash) {
 }
 
 // ---------------------------------------------------------------------------
-// Background maintenance
+// Replay through the SessionScheduler
 // ---------------------------------------------------------------------------
-
-TEST_F(SegmentStoreTest, MaintenanceRetiresAndCompactsHandsOff) {
-  const auto dir = store_dir();
-  river::SegmentedRecordLog log(dir);
-  // 10 sealed segments, one per second: segment k spans [k, k + 0.8].
-  for (std::uint64_t sec = 0; sec < 10; ++sec) {
-    for (std::uint64_t i = 0; i < 5; ++i) {
-      log.append(audio_record(sec * 5 + i, 32),
-                 static_cast<double>(sec) + 0.2 * static_cast<double>(i));
-    }
-    log.seal_active();
-  }
-
-  river::MaintenanceOptions options;
-  options.interval_seconds = 0.002;
-  options.retain_seconds = 2.0;       // horizon: last_time() - 2.0 = 7.8
-  options.compact_min_bytes = 1 << 20;
-  river::SegmentedRecordLog::Maintenance::Stats stats;
-  {
-    river::SegmentedRecordLog::Maintenance maintenance(log, options);
-    // Hands-off: no explicit retire/compact calls; wait for the thread.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    for (;;) {
-      stats = maintenance.stats();
-      if (stats.segments_retired >= 7 && stats.segments_merged >= 1) break;
-      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-          << "maintenance made no progress: cycles=" << stats.cycles
-          << " retired=" << stats.segments_retired
-          << " merged=" << stats.segments_merged;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    maintenance.stop();
-    stats = maintenance.stats();
-  }
-  EXPECT_GE(stats.cycles, 1U);
-  EXPECT_GE(stats.segments_retired, 7U);
-  EXPECT_LE(stats.segments_retired, 8U);
-  EXPECT_GE(stats.segments_merged, 1U);
-  EXPECT_GT(stats.bytes_processed, 0U);
-
-  // The surviving tail is intact, merged, and still appendable.
-  log.append(audio_record(100, 32), 20.0);
-  log.close();
-  river::SegmentStoreReader reader(dir);
-  std::string error;
-  EXPECT_TRUE(reader.verify(&error)) << error;
-  auto cursor = reader.seek(0.0);
-  const auto got = drain_cursor(cursor);
-  ASSERT_GE(got.size(), 11U);  // >= 2 surviving seconds + the new append
-  EXPECT_EQ(got.back().sequence, 100U);
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    EXPECT_GT(got[i].sequence, got[i - 1].sequence);
-  }
-}
 
 TEST_F(SegmentStoreTest, SchedulerReplayStationMatchesLiveExtraction) {
   const auto params = small_params();

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -323,11 +324,11 @@ TEST_F(SegmentStoreSoak, PackedKillDrillRecoversSyncedPrefixAndContinues) {
 
 TEST_F(SegmentStoreSoak, MaintenanceRacesLiveWriterAndConcurrentReader) {
   // Three-way churn: the owning thread appends packed records while a
-  // Maintenance thread retires and compacts under budget and a reader
-  // thread keeps re-opening the store. Cursors may fail when retention
-  // deletes a file out from under their snapshot (the documented contract
-  // says re-seek), but they must never see time run backwards, and the
-  // store must end consistent.
+  // housekeeping thread retires and compacts through the log's public calls
+  // and a reader thread keeps re-opening the store. Cursors may fail when
+  // retention deletes a file out from under their snapshot (the documented
+  // contract says re-seek), but they must never see time run backwards, and
+  // the store must end consistent.
   const auto dir = temp_file("maintenance-race");
   river::SegmentStoreOptions options;
   options.max_segment_bytes = 16 << 10;  // rotate constantly
@@ -336,17 +337,31 @@ TEST_F(SegmentStoreSoak, MaintenanceRacesLiveWriterAndConcurrentReader) {
   const std::uint64_t total = env_size("DR_SOAK_RACE_RECORDS", 6000);
 
   std::atomic<bool> done{false};
+  std::atomic<bool> writing{true};
   std::atomic<std::size_t> reader_passes{0};
   std::string reader_failure;
+  std::string housekeeping_failure;
+  std::size_t cycles = 0;
+  std::size_t segments_retired = 0;
+  std::size_t segments_merged = 0;
 
   river::SegmentedRecordLog log(dir, options);
-  river::MaintenanceOptions mopts;
-  mopts.interval_seconds = 0.001;
-  mopts.retain_seconds = 1.0;            // stream seconds, not wall time
-  mopts.compact_min_bytes = 48 << 10;
-  mopts.compact_max_run = 4;
-  mopts.budget_bytes_per_sec = 64 << 20;
-  river::SegmentedRecordLog::Maintenance maintenance(log, mopts);
+
+  std::thread housekeeping([&] {
+    while (writing.load(std::memory_order_acquire)) {
+      try {
+        // Keep one stream second behind the newest record (stream time, not
+        // wall time); merge runs of segments under 48 KiB.
+        segments_retired += log.retire_before(log.last_time() - 1.0);
+        segments_merged += log.compact(48 << 10);
+      } catch (const std::exception& e) {
+        housekeeping_failure = e.what();
+        return;
+      }
+      ++cycles;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
 
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
@@ -375,17 +390,18 @@ TEST_F(SegmentStoreSoak, MaintenanceRacesLiveWriterAndConcurrentReader) {
     log.append(audio_record(i, 100), 0.001 * static_cast<double>(i));
     if (i % 64 == 0) log.sync();
   }
-  maintenance.stop();
-  const auto stats = maintenance.stats();
+  writing.store(false, std::memory_order_release);
+  housekeeping.join();
   log.close();
   done.store(true, std::memory_order_release);
   reader.join();
 
   ASSERT_TRUE(reader_failure.empty()) << reader_failure;
+  ASSERT_TRUE(housekeeping_failure.empty()) << housekeeping_failure;
   EXPECT_GT(reader_passes.load(), 0U) << "reader never completed a pass";
-  EXPECT_GT(stats.cycles, 0U);
-  EXPECT_GT(stats.segments_retired + stats.segments_merged, 0U)
-      << "maintenance never did any work: tune the churn";
+  EXPECT_GT(cycles, 0U);
+  EXPECT_GT(segments_retired + segments_merged, 0U)
+      << "housekeeping never did any work: tune the churn";
 
   // End state: everything still on disk verifies and reads back in order,
   // with strictly increasing sequences up to the final record.
